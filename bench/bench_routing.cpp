@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   ccq::bench::init(argc, argv, "bench_routing");
   std::printf("Substrate — Lenzen routing/sorting interface guarantees\n");
 
+  RoundBuffer inbox;  // every route below delivers into this one arena
   bench::Table uniform{"Routing: full all-to-all (load = n-1 per node)",
                        {"n", "packets", "rounds", "color_batches"}};
   for (std::uint32_t n : {16u, 64u, 256u}) {
@@ -30,7 +31,7 @@ int main(int argc, char** argv) {
       for (VertexId d = 0; d < n; ++d)
         if (s != d) packets.push_back({s, d, msg1(0, 1)});
     RouteStats stats;
-    route_packets(engine, packets, &stats);
+    route_packets_into(engine, packets, inbox, &stats);
     uniform.row({bench::fmt(n), bench::fmt(packets.size()),
                  bench::fmt(stats.rounds), bench::fmt(stats.color_batches)});
     bench::expect(stats.rounds <= 8,
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
       packets.push_back(
           {static_cast<VertexId>(1 + i % (n - 1)), 0, msg1(0, i)});
     RouteStats stats;
-    route_packets(engine, packets, &stats);
+    route_packets_into(engine, packets, inbox, &stats);
     skew.row({bench::fmt(n), bench::fmt(k), bench::fmt(stats.rounds),
               bench::fmt_double(static_cast<double>(stats.rounds) / k, 2)});
     bench::expect(stats.rounds <= 4 * k + 8,
@@ -67,11 +68,11 @@ int main(int argc, char** argv) {
                          msg1(0, i)});
     CliqueEngine narrow{{.n = n}};
     RouteStats ns;
-    route_packets(narrow, packets, &ns);
+    route_packets_into(narrow, packets, inbox, &ns);
     CliqueEngine wide_engine{
         {.n = n, .messages_per_link = wide_bandwidth_messages_per_link(n)}};
     RouteStats ws;
-    route_packets(wide_engine, packets, &ws);
+    route_packets_into(wide_engine, packets, inbox, &ws);
     wide.row({bench::fmt(n), bench::fmt(packets.size()),
               bench::fmt(ns.rounds), bench::fmt(ws.rounds)});
     bench::expect(ws.rounds <= ns.rounds,

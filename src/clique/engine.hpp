@@ -32,13 +32,14 @@
 //
 // Hot-path layout (docs/MODEL.md, "Wire format & kernel dispatch"):
 //
-//   - packed wire format (EngineConfig::packed, default on): records move
-//     through the shard buffers and the arena bit-packed to their
-//     information content (clique/packed_message, typically 3-7 bytes
-//     instead of sizeof(Message) == 48) and are decoded back into Message
-//     form only when an inbox is first read. Bit-identical to the unpacked
-//     engine (determinism_test pins packed == unpacked).
-//   - cache-blocked delivery: once a packed arena outgrows the last-level
+//   - packed wire format: records move through the shard buffers and the
+//     arena bit-packed to their information content (clique/packed_message,
+//     typically 3-7 bytes instead of sizeof(Message) == 48) and are decoded
+//     back into Message form only when an inbox is first read. This is the
+//     engine's only delivery path; its route sidecar holds destinations in
+//     26 bits, so generic rounds need n <= 2^26 (larger engines throw
+//     ProtocolError on a generic round but keep every fast path).
+//   - cache-blocked delivery: once the arena outgrows the last-level
 //     cache, the placement pass would touch every destination cacheline
 //     ~10x (records from consecutive senders to one bucket are ~n record
 //     lengths apart). The merge then switches to a two-pass tile: shards
@@ -106,11 +107,6 @@ struct EngineConfig {
   /// are identical for every value (docs/MODEL.md, "Parallel execution &
   /// determinism").
   std::uint32_t threads{0};
-  /// Deliver rounds through the packed wire format (clique/packed_message):
-  /// bit-identical inboxes and accounting, ~3-6x fewer bytes moved per
-  /// round. Off = the legacy 48-byte Message layout, kept as the
-  /// determinism baseline and for A/B benchmarks.
-  bool packed{true};
 };
 
 /// Budget for the wide-bandwidth variant: one O(log^5 n)-bit link carries
@@ -188,19 +184,11 @@ class Outbox {
       // maxima); the unprofiled engine skips the bookkeeping entirely.
       if (prior == 0) touched_->push_back(dst);
     }
-    if (bytes_) {
-      const std::size_t len = packed::encode(m, src_, src_w_,
-                                             bytes_->grow_for_record());
-      bytes_->advance(len);
-      dst_tally_[dst] += (std::uint64_t{1} << kTallyCountShift) | len;
-      route_->push_back({dst, static_cast<std::uint32_t>(len)});
-    } else {
-      dst_tally_[dst] += std::uint64_t{1} << kTallyCountShift;
-      Message copy = m;
-      copy.src = src_;
-      copy.dst = dst;
-      sink_->push_back(copy);
-    }
+    const std::size_t len =
+        packed::encode(m, src_, src_w_, bytes_->grow_for_record());
+    bytes_->advance(len);
+    dst_tally_[dst] += (std::uint64_t{1} << kTallyCountShift) | len;
+    route_->push_back({dst, static_cast<std::uint32_t>(len)});
   }
 
   /// Messages sent through this outbox so far.
@@ -209,23 +197,21 @@ class Outbox {
  private:
   friend class CliqueEngine;
   Outbox(VertexId src, std::uint32_t n, std::uint32_t budget,
-         std::uint32_t src_w, std::uint64_t epoch, std::vector<Message>* sink,
-         packed::PackedBuf* bytes, std::vector<packed::Route>* route,
-         std::uint64_t* used, std::vector<VertexId>* touched,
-         std::uint64_t* dst_tally, std::uint64_t* words,
-         std::uint64_t* dst_words)
+         std::uint32_t src_w, std::uint64_t epoch, packed::PackedBuf* bytes,
+         std::vector<packed::Route>* route, std::uint64_t* used,
+         std::vector<VertexId>* touched, std::uint64_t* dst_tally,
+         std::uint64_t* words, std::uint64_t* dst_words)
       : src_(src), n_(n), budget_(budget), src_w_(src_w),
-        epoch_(epoch << kUsedCountBits), sink_(sink), bytes_(bytes),
-        route_(route), used_(used), touched_(touched),
-        dst_tally_(dst_tally), words_(words), dst_words_(dst_words) {}
+        epoch_(epoch << kUsedCountBits), bytes_(bytes), route_(route),
+        used_(used), touched_(touched), dst_tally_(dst_tally), words_(words),
+        dst_words_(dst_words) {}
 
   VertexId src_;
   std::uint32_t n_;
   std::uint32_t budget_;
   std::uint32_t src_w_;            // packed src field width (bytes)
   std::uint64_t epoch_;            // this sender's tag, pre-shifted
-  std::vector<Message>* sink_;     // unpacked shard buffer (null when packed)
-  packed::PackedBuf* bytes_;       // packed record stream (null when unpacked)
+  packed::PackedBuf* bytes_;       // packed record stream
   std::vector<packed::Route>* route_;  // packed (dst, len) sidecar
   std::uint64_t* used_;            // epoch-tagged per-destination counters
   std::vector<VertexId>* touched_; // profiled: destinations this sender hit
@@ -264,6 +250,9 @@ class CliqueEngine {
   /// fill the node's outbox; all messages are then delivered at once. The
   /// returned arena is owned by the engine and valid until the next round.
   /// Inboxes are ordered by (sender, submission order) for determinism.
+  /// Every generic round (this, round_of_arena and the fused forms) throws
+  /// ProtocolError, with no metrics moved, when n > packed::kRouteMaxDst + 1
+  /// (2^26): the packed route sidecar cannot address such destinations.
   const RoundBuffer& round_arena(
       const std::function<void(VertexId, Outbox&)>& send);
 
@@ -288,14 +277,6 @@ class CliqueEngine {
   const RoundBuffer& fused_rounds_of_arena(std::span<const VertexId> senders,
                                            std::uint32_t rounds,
                                            const FusedSend& send);
-
-  /// Compatibility shims returning the legacy vector-of-vectors inboxes
-  /// (one copy of the arena). New code should prefer the *_arena forms.
-  std::vector<std::vector<Message>> round(
-      const std::function<void(VertexId, Outbox&)>& send);
-  std::vector<std::vector<Message>> round_of(
-      const std::vector<VertexId>& senders,
-      const std::function<void(VertexId, Outbox&)>& send);
 
   /// Advance the round counter by `k` silent rounds in O(1) work (virtual
   /// time). No messages move. Throws ProtocolError if the 64-bit round
@@ -371,9 +352,8 @@ class CliqueEngine {
   /// Fused windows segment the buffers by sub-round (seg_*); per-(sub-round,
   /// destination) tallies are laid out sub-round-major: index r * n + d.
   struct Shard {
-    std::vector<Message> buffer;          // unpacked records, (r, sender,
+    packed::PackedBuf bytes;              // packed records, (r, sender,
                                           // submission)-ordered
-    packed::PackedBuf bytes;              // packed records, same order
     std::vector<packed::Route> route;     // packed (dst, len) sidecar
     std::vector<std::size_t> seg_msg;     // record-index bound per sub-round
     std::vector<std::size_t> seg_byte;    // byte bound per sub-round
@@ -382,8 +362,7 @@ class CliqueEngine {
     std::vector<VertexId> touched;        // profiled: this sender's dsts
     std::vector<std::uint64_t> dst_tally; // (count << 32 | packed bytes) per
                                           // (sub-round, dst)
-    std::vector<std::size_t> cursor;      // shard write cursor per bucket
-                                          // (slots unpacked, bytes packed)
+    std::vector<std::size_t> cursor;      // shard byte cursor per bucket
     std::vector<std::uint64_t> round_words;  // payload words per sub-round
     std::size_t error_round{0};           // sub-round of first failure
     std::size_t error_pos{0};             // sender position of first failure
@@ -413,7 +392,7 @@ class CliqueEngine {
   LoadProfile* load_{nullptr};
   std::function<void(VertexId, VertexId)> observer_;
 
-  std::vector<VertexId> all_ids_;     // cached 0..n-1, built on first round()
+  std::vector<VertexId> all_ids_;     // cached 0..n-1, built on first use
   std::vector<bool> sender_seen_;     // duplicate-sender scratch
   RoundBuffer arena_;                 // delivery arena, reused across rounds
   std::vector<Shard> shards_;         // per-shard state, reused

@@ -181,7 +181,7 @@ inline std::size_t decode(const std::uint8_t* p, std::uint32_t src_w,
 /// (kMaxRecordBytes == 41), leaving 26 bits of destination — because the
 /// placement pass streams this sidecar once per record and the 8-byte
 /// layout doubled its share of the merge's memory traffic. Engines with
-/// n > kRouteMaxDst + 1 fall back to unpacked delivery (CliqueEngine ctor).
+/// n > kRouteMaxDst + 1 reject generic rounds (CliqueEngine::run_window).
 inline constexpr std::uint32_t kRouteLenBits = 6;
 inline constexpr std::uint32_t kRouteMaxDst = (1u << (32 - kRouteLenBits)) - 1;
 static_assert(kMaxRecordBytes < (1u << kRouteLenBits),

@@ -83,13 +83,4 @@ void RoundBuffer::decode_all() const {
   decoded_ = true;
 }
 
-std::vector<std::vector<Message>> RoundBuffer::to_vectors() const {
-  std::vector<std::vector<Message>> out(n_);
-  for (VertexId v = 0; v < n_; ++v) {
-    const auto in = inbox(v);
-    out[v].assign(in.begin(), in.end());
-  }
-  return out;
-}
-
 }  // namespace ccq

@@ -1,32 +1,28 @@
 // Arena-backed per-round message delivery.
 //
-// The original engine materialized every round's inboxes as a fresh
-// std::vector<std::vector<Message>> — n heap allocations plus one per
-// inbox growth, every round. RoundBuffer replaces that with a single flat
-// arena bucket-sorted by destination:
+// One flat arena bucket-sorted by destination holds a round's inboxes:
 //
 //   counting pass   add_count(dst) per message (or per shard subtotal),
 //   commit_counts() prefix-sums the counts into bucket offsets,
 //   placement pass  place(dst) hands out slots left-to-right per bucket,
 //
 // so a *stable* placement pass (messages visited in (sender, submission)
-// order) reproduces exactly the inbox order the nested-vector engine
-// produced. The buffer is reused across rounds: reset() rewinds it without
-// releasing capacity, making steady-state rounds allocation-free.
+// order) yields inboxes in that order. The buffer is reused across rounds:
+// reset() rewinds it without releasing capacity, making steady-state rounds
+// allocation-free.
 //
 // Two storage modes (chosen per reset):
 //
 //   unpacked  a flat Message arena, filled through place() / data() — the
-//             legacy layout, still used by comm/routing's route_packets_into
-//             and as the packed path's determinism baseline;
+//             layout comm/routing's route_packets_into fills directly;
 //   packed    a flat byte arena of packed records (clique/packed_message),
 //             filled by the engine through byte cursors. ~3-6x fewer bytes
 //             move per round; records are decoded back into Message form
-//             lazily, on the first inbox()/data()/to_vectors() access — a
-//             round whose inboxes are never read (acks, fixed-schedule
-//             phases) never pays the decode. Decode-on-access mutates
-//             internal state and is DRIVER-THREAD-ONLY, like every other
-//             phase transition of this class.
+//             lazily, on the first inbox()/data() access — a round whose
+//             inboxes are never read (acks, fixed-schedule phases) never
+//             pays the decode. Decode-on-access mutates internal state and
+//             is DRIVER-THREAD-ONLY, like every other phase transition of
+//             this class.
 //
 // The arena also generalizes to `rounds` fused sub-rounds (superstep
 // fusion): buckets are keyed (destination, sub-round) with sub-rounds
@@ -35,8 +31,8 @@
 // one sub-round. The single-round engine path is the rounds == 1 case.
 //
 // inbox(v) exposes bucket v as std::span<const Message>, valid until the
-// next reset(). to_vectors() is the compatibility shim for callers still on
-// the vector-of-vectors interface; algorithms migrate incrementally.
+// next reset(). Callers that need a round's inboxes past that point own a
+// RoundBuffer of their own (route_packets_into) or copy the spans.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +57,7 @@ class RoundBuffer {
   void reset(std::uint32_t n, std::uint32_t rounds = 1, bool packed = false);
 
   /// Counting phase: announce `k` future messages for `dst` (sub-round 0 —
-  /// the legacy single-round entry point used by comm/routing).
+  /// the single-round entry point used by comm/routing).
   void add_count(VertexId dst, std::size_t k = 1);
 
   /// Counting phase, engine form: announce `msgs` messages totalling
@@ -76,8 +72,7 @@ class RoundBuffer {
 
   /// Placement phase (unpacked mode): the next free slot of `dst`'s bucket
   /// in sub-round 0. Filling in a stable order (sender id, then submission
-  /// order) reproduces the delivery order of the legacy nested-vector
-  /// inboxes.
+  /// order) yields inboxes in that order.
   Message& place(VertexId dst);
 
   std::uint32_t n() const { return n_; }
@@ -132,9 +127,6 @@ class RoundBuffer {
   /// slack past total_bytes(). Engine-only; records must be written with
   /// packed::copy_record (no slop past each record's true length).
   std::uint8_t* byte_data() { return bytes_.data(); }
-
-  /// Compatibility shim: copy out the legacy vector-of-vectors inboxes.
-  std::vector<std::vector<Message>> to_vectors() const;
 
  private:
   void decode_all() const;

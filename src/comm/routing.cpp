@@ -185,7 +185,7 @@ void route_packets_into(CliqueEngine& engine,
   std::vector<std::uint64_t> recv_load(n, 0);
   for (std::size_t i = 0; i < packets.size(); ++i) {
     const Packet& p = packets[i];
-    check(p.src < n && p.dst < n, "route_packets: endpoint out of range");
+    check(p.src < n && p.dst < n, "route_packets_into: endpoint out of range");
     out.add_count(p.dst);
     if (p.src == p.dst) continue;  // local delivery is free in the model
     edges.emplace_back(p.src, p.dst);
@@ -194,8 +194,7 @@ void route_packets_into(CliqueEngine& engine,
     ++recv_load[p.dst];
   }
   out.commit_counts();
-  // Local deliveries land first in each inbox, in packet order — matching
-  // the order the nested-vector implementation produced.
+  // Local deliveries land first in each inbox, in packet order.
   for (const Packet& p : packets) {
     if (p.src != p.dst) continue;
     Message& m = out.place(p.dst);
@@ -326,15 +325,6 @@ void route_packets_into(CliqueEngine& engine,
     }
   }
   if (stats) *stats = local;
-}
-
-std::vector<std::vector<Message>> route_packets(CliqueEngine& engine,
-                                                const std::vector<Packet>&
-                                                    packets,
-                                                RouteStats* stats) {
-  RoundBuffer buffer;
-  route_packets_into(engine, packets, buffer, stats);
-  return buffer.to_vectors();
 }
 
 }  // namespace ccq

@@ -51,22 +51,16 @@ struct RouteStats {
 /// agreement (see header comment).
 inline constexpr std::uint64_t kScheduleRounds = 2;
 
-/// Deliver all packets into the reusable arena `out` (reset to engine.n()
-/// inboxes; spans stay valid until its next reset). Message::src/dst are
-/// the original endpoints. Packets with src == dst are delivered without
-/// communication (local "sends" are free in the model). Per-inbox order:
-/// local deliveries in packet order, then relayed ones in packet order —
-/// identical to the legacy vector-of-vectors interface below.
+/// Deliver all packets into the caller-owned arena `out` (reset to
+/// engine.n() inboxes; spans stay valid until its next reset). This is the
+/// single routing entry point: callers that need two routed inbox sets
+/// alive at once keep two RoundBuffers. Message::src/dst are the original
+/// endpoints. Packets with src == dst are delivered without communication
+/// (local "sends" are free in the model). Per-inbox order: local deliveries
+/// in packet order, then relayed ones in packet order.
 void route_packets_into(CliqueEngine& engine,
                         const std::vector<Packet>& packets, RoundBuffer& out,
                         RouteStats* stats = nullptr);
-
-/// Compatibility shim over route_packets_into: returns freshly allocated
-/// per-receiver inboxes. Hot callers should migrate to the arena form.
-std::vector<std::vector<Message>> route_packets(CliqueEngine& engine,
-                                                const std::vector<Packet>&
-                                                    packets,
-                                                RouteStats* stats = nullptr);
 
 /// Proper edge coloring of the bipartite multigraph {(src_i, dst_i)} via
 /// iterated Euler partition. Returns one color per edge; the number of

@@ -15,8 +15,8 @@
 //   4. bucket owners sort locally, all bucket sizes are broadcast, global
 //      ranks are prefix sums plus local indices, and ranks are routed back.
 //
-// All communication goes through route_packets / the broadcast primitives,
-// so rounds and messages are fully accounted.
+// All communication goes through route_packets_into / the broadcast
+// primitives, so rounds and messages are fully accounted.
 #pragma once
 
 #include <cstdint>

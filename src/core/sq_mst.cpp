@@ -64,7 +64,11 @@ SqMstResult sq_mst(CliqueEngine& engine, std::uint32_t n,
     const auto guardian = static_cast<VertexId>(r / group_size);
     edge_packets.push_back({e.u, guardian, msg3(kTagEdge, e.u, e.v, e.w)});
   }
-  auto guardian_inbox = route_packets(engine, edge_packets);
+  // Two caller-owned arenas: guardian_inbox is still read in Step 5, after
+  // the sketches have been routed into sketch_inbox.
+  RoundBuffer guardian_inbox;
+  RoundBuffer sketch_inbox;
+  route_packets_into(engine, edge_packets, guardian_inbox);
 
   // --- Step 4: sketches of every prefix graph G_i, shipped to guardians.
   const std::uint32_t copies = copies_override > 0
@@ -110,7 +114,7 @@ SqMstResult sq_mst(CliqueEngine& engine, std::uint32_t n,
                               kTagSketch, j, acc[j]);
     }
   }
-  auto sketch_inbox = route_packets(engine, sketch_packets);
+  route_packets_into(engine, sketch_packets, sketch_inbox);
 
   // --- Step 5: guardians work locally.
   std::vector<VertexId> identity(n);
@@ -120,7 +124,7 @@ SqMstResult sq_mst(CliqueEngine& engine, std::uint32_t n,
     const auto guardian = static_cast<VertexId>(i);
     // Reassemble sketches (guardian 0's G_0 is empty: no sketches).
     SketchReassembler reassembler{space, kTagSketch};
-    for (const auto& m : sketch_inbox[guardian]) reassembler.add(m);
+    for (const auto& m : sketch_inbox.inbox(guardian)) reassembler.add(m);
     auto by_key = reassembler.take();
     std::vector<VertexId> vertices;
     std::vector<std::vector<L0Sketch>> per_vertex;
@@ -144,7 +148,7 @@ SqMstResult sq_mst(CliqueEngine& engine, std::uint32_t n,
     UnionFind uf{n};
     for (const Edge& e : forest.forest) uf.unite(e.u, e.v);
     std::vector<WeightedEdge> group;
-    for (const auto& m : guardian_inbox[guardian])
+    for (const auto& m : guardian_inbox.inbox(guardian))
       if (m.tag == kTagEdge)
         group.emplace_back(static_cast<VertexId>(m.word(0)),
                            static_cast<VertexId>(m.word(1)), m.word(2));
@@ -156,9 +160,11 @@ SqMstResult sq_mst(CliqueEngine& engine, std::uint32_t n,
   }
 
   // --- Step 6: collect M_1 ∪ ... ∪ M_p at v* and spray-broadcast.
-  auto mst_inbox = route_packets(engine, mst_packets);
+  // The guardians' edge groups are consumed; reuse their arena.
+  RoundBuffer& mst_inbox = guardian_inbox;
+  route_packets_into(engine, mst_packets, mst_inbox);
   std::vector<std::vector<std::uint64_t>> items;
-  for (const auto& m : mst_inbox[coordinator]) {
+  for (const auto& m : mst_inbox.inbox(coordinator)) {
     result.mst.emplace_back(static_cast<VertexId>(m.word(0)),
                             static_cast<VertexId>(m.word(1)), m.word(2));
     items.push_back({m.word(0), m.word(1), m.word(2)});

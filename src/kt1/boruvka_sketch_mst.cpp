@@ -58,6 +58,7 @@ BoruvkaSketchResult boruvka_sketch_mst(CliqueEngine& engine,
            engine.messages_per_link();
   };
 
+  RoundBuffer mwoe_inbox;  // reused by every phase's MWOE routing
   for (std::uint32_t phase = 0; phase < 2 * log_n + 2; ++phase) {
     // Component roster for this phase.
     std::map<VertexId, std::vector<VertexId>> members;
@@ -218,9 +219,9 @@ BoruvkaSketchResult boruvka_sketch_mst(CliqueEngine& engine,
                         msg3(kTagMwoe, candidate->u, candidate->v,
                              candidate->w)});
     if (mwoe.empty()) break;  // all components finished (disconnected input)
-    auto inbox = route_packets(engine, mwoe);
+    route_packets_into(engine, mwoe, mwoe_inbox);
     bool merged_any = false;
-    for (const auto& m : inbox[coordinator]) {
+    for (const auto& m : mwoe_inbox.inbox(coordinator)) {
       const WeightedEdge e{static_cast<VertexId>(m.word(0)),
                            static_cast<VertexId>(m.word(1)), m.word(2)};
       if (components.unite(e.u, e.v)) {

@@ -132,8 +132,8 @@ ConnectivityService::ConnectivityService(const ServiceConfig& config)
     throw ServiceError(
         "ConnectivityService: copies >= 256 exceeds the wire format's "
         "copy-index budget");
-  engine_ = std::make_unique<CliqueEngine>(EngineConfig{
-      config_.n, 1, Knowledge::KT1, config_.tuning.threads, true});
+  engine_ = std::make_unique<CliqueEngine>(
+      EngineConfig{.n = config_.n, .threads = config_.tuning.threads});
   {
     // Theorem 1 bootstrap: every node ends up holding the same seed words,
     // which is what makes per-vertex sketches addable across nodes.
@@ -173,8 +173,8 @@ ConnectivityService::ConnectivityService(const ServiceSnapshot& snap,
                        std::to_string(snap.seed_words.size()) +
                        " seed words but this geometry consumes " +
                        std::to_string(need));
-  engine_ = std::make_unique<CliqueEngine>(EngineConfig{
-      config_.n, 1, Knowledge::KT1, config_.tuning.threads, true});
+  engine_ = std::make_unique<CliqueEngine>(
+      EngineConfig{.n = config_.n, .threads = config_.tuning.threads});
   seed_words_ = snap.seed_words;
   space_ = std::make_unique<SketchSpace>(
       config_.n, config_.copies, std::span<const std::uint64_t>{seed_words_},

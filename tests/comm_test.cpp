@@ -104,18 +104,20 @@ TEST(Routing, DeliversEverythingExactlyOnce) {
     packets.push_back({s, d, msg1(1, static_cast<std::uint64_t>(i))});
     expect.insert({s, d, static_cast<std::uint64_t>(i)});
   }
-  const auto inbox = route_packets(engine, packets);
+  RoundBuffer inbox;
+  route_packets_into(engine, packets, inbox);
   std::multiset<std::tuple<VertexId, VertexId, std::uint64_t>> got;
   for (VertexId v = 0; v < 16; ++v)
-    for (const auto& m : inbox[v]) got.insert({m.src, m.dst, m.word(0)});
+    for (const auto& m : inbox.inbox(v)) got.insert({m.src, m.dst, m.word(0)});
   EXPECT_EQ(got, expect);
 }
 
 TEST(Routing, LocalPacketsAreFree) {
   CliqueEngine engine{{.n = 4}};
   std::vector<Packet> packets{{2, 2, msg1(0, 9)}};
-  const auto inbox = route_packets(engine, packets);
-  EXPECT_EQ(inbox[2].size(), 1u);
+  RoundBuffer inbox;
+  route_packets_into(engine, packets, inbox);
+  EXPECT_EQ(inbox.inbox(2).size(), 1u);
   EXPECT_EQ(engine.metrics().messages, 0u);
   EXPECT_EQ(engine.metrics().rounds, 0u);
 }
@@ -125,7 +127,8 @@ TEST(Routing, TwoMessagesChargedPerRelayedPacket) {
   std::vector<Packet> packets;
   for (int i = 0; i < 5; ++i) packets.push_back({0, 7, msg1(0, 1)});
   RouteStats stats;
-  route_packets(engine, packets, &stats);
+  RoundBuffer inbox;
+  route_packets_into(engine, packets, inbox, &stats);
   EXPECT_EQ(engine.metrics().messages, 10u);
   EXPECT_EQ(stats.max_send_load, 5u);
   EXPECT_EQ(stats.max_recv_load, 5u);
@@ -141,7 +144,8 @@ TEST(Routing, ConstantRoundsWhenLoadAtMostN) {
       for (VertexId d = 0; d < n; ++d)
         if (s != d) packets.push_back({s, d, msg1(0, 1)});
     RouteStats stats;
-    route_packets(engine, packets, &stats);
+    RoundBuffer inbox;
+    route_packets_into(engine, packets, inbox, &stats);
     EXPECT_LE(stats.rounds, 8u) << "n=" << n;
   }
 }
@@ -154,7 +158,8 @@ TEST(Routing, RoundsScaleWithOverload) {
     packets.push_back(
         {static_cast<VertexId>(i % 7 + 1), 0, msg1(0, 1)});
   RouteStats stats;
-  route_packets(engine, packets, &stats);
+  RoundBuffer inbox;
+  route_packets_into(engine, packets, inbox, &stats);
   EXPECT_GE(stats.rounds, 10u);
   EXPECT_LE(stats.rounds, 40u);
 }
@@ -171,8 +176,9 @@ TEST(Routing, HeavyOverloadFinishesWithLinearWaves) {
     packets.push_back(
         {static_cast<VertexId>(1 + i % (n - 1)), 0, msg1(0, i)});
   RouteStats stats;
-  const auto inbox = route_packets(engine, packets, &stats);
-  EXPECT_EQ(inbox[0].size(), load);
+  RoundBuffer inbox;
+  route_packets_into(engine, packets, inbox, &stats);
+  EXPECT_EQ(inbox.inbox(0).size(), load);
   // O(1 + L/n): about 2 rounds per wave of n packets, within a small factor.
   EXPECT_LE(stats.rounds, 2 * (load / (n - 1)) + 16);
   EXPECT_GE(stats.rounds, load / n);
@@ -183,7 +189,8 @@ TEST(Routing, ObserverSeesTwoHops) {
   std::uint64_t count = 0;
   engine.set_observer([&](VertexId, VertexId) { ++count; });
   std::vector<Packet> packets{{0, 3, msg1(0, 1)}, {1, 2, msg1(0, 2)}};
-  route_packets(engine, packets);
+  RoundBuffer inbox;
+  route_packets_into(engine, packets, inbox);
   EXPECT_EQ(count, 4u);
 }
 

@@ -1,11 +1,14 @@
 // Parallel execution must be invisible: the engine's threaded round path
 // has to produce bit-identical inboxes, outputs and Metrics to the serial
 // engine (threads = 1) for every lane count. These tests pin that contract
-// on raw rounds and on the two flagship algorithms (GC, Lotker CC-MST).
+// on raw rounds and on the two flagship algorithms (GC, Lotker CC-MST), pin
+// fused == unfused windows, and check the arena against a direct oracle of
+// the delivery rule that involves no engine, arena or packed codec.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <tuple>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "clique/engine.hpp"
@@ -27,43 +30,130 @@ void expect_same_metrics(const Metrics& a, const Metrics& b) {
   EXPECT_EQ(a.max_messages_in_round, b.max_messages_in_round);
 }
 
-void expect_same_inboxes(const RoundBuffer& a,
-                         const std::vector<std::vector<Message>>& b) {
-  ASSERT_EQ(a.n(), b.size());
+void expect_same_message(const Message& got, const Message& want) {
+  EXPECT_EQ(got.src, want.src);
+  EXPECT_EQ(got.dst, want.dst);
+  EXPECT_EQ(got.tag, want.tag);
+  ASSERT_EQ(got.count, want.count);
+  // Every word, not just the first `count`: delivery must hand back the
+  // zeroed tail too.
+  for (std::size_t w = 0; w < kMaxWords; ++w)
+    EXPECT_EQ(got.words[w], want.words[w]);
+}
+
+void expect_same_arena(const RoundBuffer& a, const RoundBuffer& b) {
+  ASSERT_EQ(a.n(), b.n());
   for (VertexId v = 0; v < a.n(); ++v) {
-    const auto in = a.inbox(v);
-    ASSERT_EQ(in.size(), b[v].size()) << "inbox " << v;
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      EXPECT_EQ(in[i].src, b[v][i].src);
-      EXPECT_EQ(in[i].dst, b[v][i].dst);
-      EXPECT_EQ(in[i].tag, b[v][i].tag);
-      ASSERT_EQ(in[i].count, b[v][i].count);
-      for (std::size_t w = 0; w < in[i].count; ++w)
-        EXPECT_EQ(in[i].words[w], b[v][i].words[w]);
-    }
+    const auto ia = a.inbox(v);
+    const auto ib = b.inbox(v);
+    ASSERT_EQ(ia.size(), ib.size()) << "inbox " << v;
+    for (std::size_t i = 0; i < ia.size(); ++i)
+      expect_same_message(ia[i], ib[i]);
   }
 }
 
-// A send pattern with skewed per-sender load (sender u sends to u % 7 + 1
-// pseudo-random destinations) so shard buffers have unequal sizes — the
-// stable merge has to get the interleaving right, not just the totals.
-void skewed_send(VertexId u, Outbox& out) {
+// Inboxes held by the test itself: the direct oracle's output, or one
+// round's spans copied out of an engine arena before the next round reuses
+// it.
+using Inboxes = std::vector<std::vector<Message>>;
+
+void expect_inboxes(const RoundBuffer& got, const Inboxes& want) {
+  ASSERT_EQ(got.n(), want.size());
+  for (VertexId v = 0; v < got.n(); ++v) {
+    const auto in = got.inbox(v);
+    ASSERT_EQ(in.size(), want[v].size()) << "inbox " << v;
+    for (std::size_t i = 0; i < in.size(); ++i)
+      expect_same_message(in[i], want[v][i]);
+  }
+}
+
+Inboxes copy_round(const RoundBuffer& arena, std::uint32_t r) {
+  Inboxes out(arena.n());
+  for (VertexId v = 0; v < arena.n(); ++v) {
+    const auto in = arena.inbox_round(v, r);
+    out[v].assign(in.begin(), in.end());
+  }
+  return out;
+}
+
+// A send pattern as a pure function of the sender: its (destination,
+// message) pairs in submission order. The engine is driven through
+// drive(pattern); the oracle consumes the same lists directly.
+struct Send {
+  VertexId dst;
+  Message msg;
+};
+using Pattern = std::vector<Send> (*)(VertexId);
+
+std::function<void(VertexId, Outbox&)> drive(Pattern pattern) {
+  return [pattern](VertexId u, Outbox& out) {
+    for (const Send& s : pattern(u)) out.send(s.dst, s.msg);
+  };
+}
+
+// The model's delivery rule, written out with no engine, arena or codec:
+// every message lands in its destination's inbox stamped with (src, dst),
+// inboxes ordered by (sender, submission). Also totals messages and words
+// so the engine's Metrics can be checked against the same source.
+struct Oracle {
+  Inboxes inboxes;
+  std::uint64_t messages{0};
+  std::uint64_t words{0};
+};
+
+Oracle oracle(std::uint32_t n, Pattern pattern) {
+  Oracle o;
+  o.inboxes.resize(n);
+  for (VertexId u = 0; u < n; ++u)
+    for (const Send& s : pattern(u)) {
+      Message m = s.msg;
+      m.src = u;
+      m.dst = s.dst;
+      o.inboxes[s.dst].push_back(m);
+      ++o.messages;
+      o.words += m.count;
+    }
+  return o;
+}
+
+// Skewed per-sender load (sender u sends to u % 7 + 1 pseudo-random
+// destinations) so shard buffers have unequal sizes — the stable merge has
+// to get the interleaving right, not just the totals.
+std::vector<Send> skewed_sends(VertexId u) {
+  std::vector<Send> sends;
   const std::uint32_t fanout = u % 7 + 1;
   for (std::uint32_t i = 0; i < fanout; ++i) {
     const VertexId dst = (u * 2654435761u + i * 40503u) % 512;
-    if (dst != u) out.send(dst, msg2(u % 13, u, i));
+    if (dst != u) sends.push_back({dst, msg2(u % 13, u, i)});
+  }
+  return sends;
+}
+const auto skewed_send = drive(skewed_sends);
+
+// Messages chosen to hit every packed width code in one round: zero tags,
+// wide tags, 0..4 words, and 2^8/2^16/2^32 payload boundaries (n = 256).
+std::vector<Send> width_extreme_sends(VertexId u) {
+  const VertexId dst = (u + 1) % 256;
+  switch (u % 5) {
+    case 0: return {{dst, msg0(0)}};
+    case 1: return {{dst, msg1(0xFFFFFFFFu, ~0ull)}};
+    case 2: return {{dst, msg2(0xFFu, 0x100ull, 0xFFull)}};
+    case 3:
+      return {{dst, msg4(0x10000u, 0xFFFFull, 0x10000ull, 0xFFFFFFFFull,
+                         0x100000000ull)}};
+    default: return {{dst, msg1(1, 0)}};
   }
 }
 
 TEST(Determinism, ParallelRoundMatchesSerialBitForBit) {
   // n = 512 >= kParallelMinSenders, so the threads=8 engine actually takes
-  // the sharded path while threads=1 is the legacy serial loop.
+  // the sharded path while threads=1 is the serial loop.
   CliqueEngine serial{{.n = 512, .threads = 1}};
   CliqueEngine parallel{{.n = 512, .threads = 8}};
   for (int round = 0; round < 3; ++round) {
-    const auto expected = serial.round(skewed_send);
+    const RoundBuffer& expected = serial.round_arena(skewed_send);
     const RoundBuffer& got = parallel.round_arena(skewed_send);
-    expect_same_inboxes(got, expected);
+    expect_same_arena(got, expected);
   }
   expect_same_metrics(parallel.metrics(), serial.metrics());
 }
@@ -75,8 +165,8 @@ TEST(Determinism, ParallelAllToAllMatchesSerial) {
     for (VertexId v = 0; v < 512; ++v)
       if (v != u) out.send(v, msg1(0, u));
   };
-  const auto expected = serial.round(all_to_all);
-  expect_same_inboxes(parallel.round_arena(all_to_all), expected);
+  const RoundBuffer& expected = serial.round_arena(all_to_all);
+  expect_same_arena(parallel.round_arena(all_to_all), expected);
   expect_same_metrics(parallel.metrics(), serial.metrics());
   EXPECT_EQ(parallel.metrics().messages, 512ull * 511);
 }
@@ -86,10 +176,8 @@ TEST(Determinism, ParallelRoundOfSubsetMatchesSerial) {
   CliqueEngine parallel{{.n = 512, .threads = 8}};
   std::vector<VertexId> senders;
   for (VertexId u = 0; u < 512; u += 3) senders.push_back(u);
-  const auto expected = serial.round_of(senders, skewed_send);
-  expect_same_inboxes(
-      parallel.round_of_arena({senders.data(), senders.size()}, skewed_send),
-      expected);
+  const RoundBuffer& expected = serial.round_of_arena(senders, skewed_send);
+  expect_same_arena(parallel.round_of_arena(senders, skewed_send), expected);
   expect_same_metrics(parallel.metrics(), serial.metrics());
 }
 
@@ -103,64 +191,34 @@ TEST(Determinism, ParallelProtocolErrorMatchesSerial) {
   };
   CliqueEngine serial{{.n = 512, .threads = 1}};
   CliqueEngine parallel{{.n = 512, .threads = 8}};
-  EXPECT_THROW(serial.round(violate), ProtocolError);
+  EXPECT_THROW(serial.round_arena(violate), ProtocolError);
   EXPECT_THROW(parallel.round_arena(violate), ProtocolError);
   expect_same_metrics(parallel.metrics(), serial.metrics());
   EXPECT_EQ(serial.metrics().rounds, 0u);
 }
 
-void expect_same_arena(const RoundBuffer& a, const RoundBuffer& b) {
-  ASSERT_EQ(a.n(), b.n());
-  for (VertexId v = 0; v < a.n(); ++v) {
-    const auto ia = a.inbox(v);
-    const auto ib = b.inbox(v);
-    ASSERT_EQ(ia.size(), ib.size()) << "inbox " << v;
-    for (std::size_t i = 0; i < ia.size(); ++i) {
-      EXPECT_EQ(ia[i].src, ib[i].src);
-      EXPECT_EQ(ia[i].dst, ib[i].dst);
-      EXPECT_EQ(ia[i].tag, ib[i].tag);
-      ASSERT_EQ(ia[i].count, ib[i].count);
-      for (std::size_t w = 0; w < kMaxWords; ++w)
-        EXPECT_EQ(ia[i].words[w], ib[i].words[w]);
+TEST(Determinism, ArenaMatchesDirectOracle) {
+  // The packed arena against the delivery rule itself: inboxes (all
+  // kMaxWords words), order, and Metrics, serial and sharded, over repeated
+  // rounds of the same engine (arena reuse).
+  const struct {
+    std::uint32_t n;
+    Pattern pattern;
+  } cases[] = {{512, skewed_sends}, {256, width_extreme_sends}};
+  for (const auto& c : cases) {
+    const Oracle want = oracle(c.n, c.pattern);
+    for (const std::uint32_t threads : {1u, 8u}) {
+      SCOPED_TRACE("n=" + std::to_string(c.n) +
+                   " threads=" + std::to_string(threads));
+      CliqueEngine engine{{.n = c.n, .threads = threads}};
+      for (std::uint64_t round = 1; round <= 3; ++round) {
+        expect_inboxes(engine.round_arena(drive(c.pattern)), want.inboxes);
+        EXPECT_EQ(engine.metrics().rounds, round);
+        EXPECT_EQ(engine.metrics().messages, round * want.messages);
+        EXPECT_EQ(engine.metrics().words, round * want.words);
+      }
     }
   }
-}
-
-TEST(Determinism, PackedDeliveryMatchesUnpackedBitForBit) {
-  // The packed wire format is a pure transport change: inboxes (including
-  // the zeroed words beyond count), Metrics, and delivery order must be
-  // identical to the legacy 48-byte layout, serial and sharded alike.
-  for (const std::uint32_t threads : {1u, 8u}) {
-    CliqueEngine unpacked{{.n = 512, .threads = threads, .packed = false}};
-    CliqueEngine packed{{.n = 512, .threads = threads, .packed = true}};
-    for (int round = 0; round < 3; ++round) {
-      const RoundBuffer& a = unpacked.round_arena(skewed_send);
-      const RoundBuffer& b = packed.round_arena(skewed_send);
-      expect_same_arena(a, b);
-    }
-    expect_same_metrics(packed.metrics(), unpacked.metrics());
-  }
-}
-
-TEST(Determinism, PackedWidthExtremesSurviveDelivery) {
-  // Messages chosen to hit every width code in one round: zero tags, wide
-  // tags, 0..4 words, and 2^8/2^16/2^32 payload boundaries.
-  const auto extremes = [](VertexId u, Outbox& out) {
-    const VertexId dst = (u + 1) % 256;
-    switch (u % 5) {
-      case 0: out.send(dst, msg0(0)); break;
-      case 1: out.send(dst, msg1(0xFFFFFFFFu, ~0ull)); break;
-      case 2: out.send(dst, msg2(0xFFu, 0x100ull, 0xFFull)); break;
-      case 3: out.send(dst, msg4(0x10000u, 0xFFFFull, 0x10000ull,
-                                 0xFFFFFFFFull, 0x100000000ull)); break;
-      default: out.send(dst, msg1(1, 0)); break;
-    }
-  };
-  CliqueEngine unpacked{{.n = 256, .threads = 1, .packed = false}};
-  CliqueEngine packed{{.n = 256, .threads = 1, .packed = true}};
-  expect_same_arena(unpacked.round_arena(extremes),
-                    packed.round_arena(extremes));
-  expect_same_metrics(packed.metrics(), unpacked.metrics());
 }
 
 TEST(Determinism, FusedWindowMatchesUnfusedRounds) {
@@ -184,12 +242,14 @@ TEST(Determinism, FusedWindowMatchesUnfusedRounds) {
   unfused.set_trace(&unfused_trace);
   fused.set_trace(&fused_trace);
 
-  std::vector<std::vector<std::vector<Message>>> unfused_rounds;
+  std::vector<Inboxes> unfused_rounds;
   {
     TraceScope scope{unfused, "fusion-parity"};
     for (std::uint32_t r = 0; r < kRounds; ++r)
-      unfused_rounds.push_back(unfused.round(
-          [&](VertexId u, Outbox& out) { schedule(u, r, out); }));
+      unfused_rounds.push_back(copy_round(
+          unfused.round_arena(
+              [&](VertexId u, Outbox& out) { schedule(u, r, out); }),
+          0));
   }
   const RoundBuffer* arena = nullptr;
   {
@@ -231,10 +291,12 @@ TEST(Determinism, FusedSubsetWindowMatchesUnfused) {
   };
   CliqueEngine unfused{{.n = kN, .threads = 8}};
   CliqueEngine fused{{.n = kN, .threads = 8}};
-  std::vector<std::vector<std::vector<Message>>> unfused_rounds;
+  std::vector<Inboxes> unfused_rounds;
   for (std::uint32_t r = 0; r < kRounds; ++r)
-    unfused_rounds.push_back(unfused.round_of(
-        senders, [&](VertexId u, Outbox& out) { schedule(u, r, out); }));
+    unfused_rounds.push_back(copy_round(
+        unfused.round_of_arena(
+            senders, [&](VertexId u, Outbox& out) { schedule(u, r, out); }),
+        0));
   const RoundBuffer& arena = fused.fused_rounds_of_arena(
       {senders.data(), senders.size()}, kRounds, schedule);
   for (std::uint32_t r = 0; r < kRounds; ++r)

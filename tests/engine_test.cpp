@@ -29,16 +29,17 @@ TEST(Engine, ConfigValidation) {
 
 TEST(Engine, RoundDeliversMessages) {
   CliqueEngine engine{{.n = 4}};
-  auto inbox = engine.round([](VertexId u, Outbox& out) {
+  const RoundBuffer& arena = engine.round_arena([](VertexId u, Outbox& out) {
     if (u == 0) out.send(3, msg2(7, 10, 20));
   });
-  ASSERT_EQ(inbox[3].size(), 1u);
-  EXPECT_EQ(inbox[3][0].src, 0u);
-  EXPECT_EQ(inbox[3][0].dst, 3u);
-  EXPECT_EQ(inbox[3][0].tag, 7u);
-  EXPECT_EQ(inbox[3][0].word(0), 10u);
-  EXPECT_EQ(inbox[3][0].word(1), 20u);
-  EXPECT_TRUE(inbox[0].empty());
+  const auto in = arena.inbox(3);
+  ASSERT_EQ(in.size(), 1u);
+  EXPECT_EQ(in[0].src, 0u);
+  EXPECT_EQ(in[0].dst, 3u);
+  EXPECT_EQ(in[0].tag, 7u);
+  EXPECT_EQ(in[0].word(0), 10u);
+  EXPECT_EQ(in[0].word(1), 20u);
+  EXPECT_TRUE(arena.inbox(0).empty());
   EXPECT_EQ(engine.metrics().rounds, 1u);
   EXPECT_EQ(engine.metrics().messages, 1u);
   EXPECT_EQ(engine.metrics().words, 2u);
@@ -46,7 +47,7 @@ TEST(Engine, RoundDeliversMessages) {
 
 TEST(Engine, BandwidthEnforcedPerLink) {
   CliqueEngine engine{{.n = 3}};
-  EXPECT_THROW(engine.round([](VertexId u, Outbox& out) {
+  EXPECT_THROW(engine.round_arena([](VertexId u, Outbox& out) {
     if (u == 0) {
       out.send(1, msg0(1));
       out.send(1, msg0(2));  // second message on the same link: illegal
@@ -57,29 +58,29 @@ TEST(Engine, BandwidthEnforcedPerLink) {
 
 TEST(Engine, WiderBudgetAllowsMore) {
   CliqueEngine engine{{.n = 3, .messages_per_link = 2}};
-  auto inbox = engine.round([](VertexId u, Outbox& out) {
+  const RoundBuffer& arena = engine.round_arena([](VertexId u, Outbox& out) {
     if (u == 0) {
       out.send(1, msg0(1));
       out.send(1, msg0(2));
     }
   });
-  EXPECT_EQ(inbox[1].size(), 2u);
+  EXPECT_EQ(arena.inbox(1).size(), 2u);
 }
 
 TEST(Engine, DistinctLinksAreIndependent) {
   CliqueEngine engine{{.n = 4}};
-  auto inbox = engine.round([](VertexId u, Outbox& out) {
+  const RoundBuffer& arena = engine.round_arena([](VertexId u, Outbox& out) {
     // Every node sends to every other node: the full n(n-1) pattern.
     for (VertexId v = 0; v < 4; ++v)
       if (v != u) out.send(v, msg1(0, u));
   });
-  for (VertexId v = 0; v < 4; ++v) EXPECT_EQ(inbox[v].size(), 3u);
+  for (VertexId v = 0; v < 4; ++v) EXPECT_EQ(arena.inbox(v).size(), 3u);
   EXPECT_EQ(engine.metrics().messages, 12u);
 }
 
 TEST(Engine, SelfSendRejected) {
   CliqueEngine engine{{.n = 2}};
-  EXPECT_THROW(engine.round([](VertexId u, Outbox& out) {
+  EXPECT_THROW(engine.round_arena([](VertexId u, Outbox& out) {
     if (u == 1) out.send(1, msg0(0));
   }),
                ProtocolError);
@@ -87,7 +88,7 @@ TEST(Engine, SelfSendRejected) {
 
 TEST(Engine, OutOfRangeDestinationRejected) {
   CliqueEngine engine{{.n = 2}};
-  EXPECT_THROW(engine.round([](VertexId u, Outbox& out) {
+  EXPECT_THROW(engine.round_arena([](VertexId u, Outbox& out) {
     if (u == 0) out.send(5, msg0(0));
   }),
                ProtocolError);
@@ -96,7 +97,8 @@ TEST(Engine, OutOfRangeDestinationRejected) {
 TEST(Engine, RoundOfOnlyListedSendersSend) {
   CliqueEngine engine{{.n = 5}};
   int calls = 0;
-  engine.round_of({1, 3}, [&](VertexId u, Outbox& out) {
+  const std::vector<VertexId> senders{1, 3};
+  engine.round_of_arena(senders, [&](VertexId u, Outbox& out) {
     ++calls;
     out.send(0, msg1(0, u));
   });
@@ -131,21 +133,21 @@ TEST(Engine, PerLinkBudgetAbove16BitsDoesNotWrap) {
   // budget check silently restarted from zero.
   const std::uint32_t budget = 70'000;
   CliqueEngine engine{{.n = 2, .messages_per_link = budget}};
-  auto inbox = engine.round([&](VertexId u, Outbox& out) {
+  const RoundBuffer& arena = engine.round_arena([&](VertexId u, Outbox& out) {
     if (u == 0)
       for (std::uint32_t i = 0; i < budget; ++i) out.send(1, msg0(i));
   });
-  EXPECT_EQ(inbox[1].size(), budget);
+  EXPECT_EQ(arena.inbox(1).size(), budget);
   // One message beyond the budget must still throw (counter reached 70000,
   // not 70000 mod 65536).
-  EXPECT_THROW(engine.round([&](VertexId u, Outbox& out) {
+  EXPECT_THROW(engine.round_arena([&](VertexId u, Outbox& out) {
     if (u == 0)
       for (std::uint32_t i = 0; i <= budget; ++i) out.send(1, msg0(i));
   }),
                ProtocolError);
 }
 
-TEST(Engine, ArenaRoundMatchesLegacyInterface) {
+TEST(Engine, ArenaRoundDeliversInSenderOrder) {
   CliqueEngine engine{{.n = 6}};
   const auto& arena = engine.round_arena([](VertexId u, Outbox& out) {
     for (VertexId v = 0; v < 6; ++v)
@@ -165,14 +167,6 @@ TEST(Engine, ArenaRoundMatchesLegacyInterface) {
       EXPECT_EQ(m.word(1), v);
       ++expect_src;
     }
-  }
-  const auto vectors = arena.to_vectors();
-  ASSERT_EQ(vectors.size(), 6u);
-  for (VertexId v = 0; v < 6; ++v) {
-    const auto in = arena.inbox(v);
-    ASSERT_EQ(vectors[v].size(), in.size());
-    for (std::size_t i = 0; i < in.size(); ++i)
-      EXPECT_EQ(vectors[v][i].src, in[i].src);
   }
 }
 
@@ -219,13 +213,34 @@ TEST(Engine, ObserverSeesEveryMessage) {
   CliqueEngine engine{{.n = 3}};
   std::vector<std::pair<VertexId, VertexId>> seen;
   engine.set_observer([&](VertexId s, VertexId d) { seen.push_back({s, d}); });
-  engine.round([](VertexId u, Outbox& out) {
+  engine.round_arena([](VertexId u, Outbox& out) {
     if (u == 0) out.send(2, msg0(0));
     if (u == 1) out.send(0, msg0(0));
   });
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], (std::pair<VertexId, VertexId>{0, 2}));
   EXPECT_EQ(seen[1], (std::pair<VertexId, VertexId>{1, 0}));
+}
+
+TEST(Engine, GenericRoundsRejectNBeyondPackedRouteRange) {
+  // The packed route sidecar addresses 2^26 destinations. A larger engine
+  // refuses generic rounds up front — before any O(n) scratch exists and
+  // with no metrics moved — while the fixed-schedule fast paths still count.
+  const std::uint32_t n = packed::kRouteMaxDst + 2;
+  ASSERT_EQ(n, (1u << 26) + 1);
+  CliqueEngine engine{{.n = n}};
+  const std::vector<VertexId> one_sender{0};
+  EXPECT_THROW(engine.round_of_arena(
+                   one_sender,
+                   [](VertexId, Outbox& out) { out.send(1, msg0(0)); }),
+               ProtocolError);
+  EXPECT_EQ(engine.metrics().rounds, 0u);
+  EXPECT_EQ(engine.metrics().messages, 0u);
+  EXPECT_EQ(engine.metrics().words, 0u);
+  engine.charge_verified_round(n - 1, n - 1);
+  EXPECT_EQ(engine.metrics().rounds, 1u);
+  EXPECT_EQ(engine.metrics().messages, n - 1);
+  EXPECT_EQ(engine.metrics().words, n - 1);
 }
 
 TEST(Engine, ChargeVerifiedRoundAccumulates) {

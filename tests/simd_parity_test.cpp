@@ -1,12 +1,13 @@
 // SIMD/scalar parity for the sketch kernels (sketch/sketch_kernels).
 //
 // The kernels promise bit-identical results on every dispatch path; the
-// engine-level determinism guarantees (serial == parallel, packed ==
-// unpacked) and the docs' cross-machine reproducibility claim both inherit
-// from it. Each test runs the same inputs through the forced-scalar path
-// and the runtime-dispatched path (AVX2 where the host supports it; on
-// hosts without AVX2 or under -DCLIQUE_NO_SIMD both runs take the scalar
-// path and the tests degrade to self-consistency checks).
+// engine-level determinism guarantees (serial == parallel, fused ==
+// unfused, arena == direct oracle) and the docs' cross-machine
+// reproducibility claim all inherit from it. Each test runs the same inputs
+// through the forced-scalar path and the runtime-dispatched path (AVX2
+// where the host supports it; on hosts without AVX2 or under
+// -DCLIQUE_NO_SIMD both runs take the scalar path and the tests degrade to
+// self-consistency checks).
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -20,8 +20,9 @@ of regression are caught in CI:
 
 Rows are keyed (see REGISTRY); baseline rows whose key is missing from the
 fresh run fail the check unless the registry marks them optional.
-BENCH_engine.json rows are keyed (n, mode) over a fixed delivery-mode grid
-(serial / parallel / parallel+packed), so none are optional.
+BENCH_engine.json rows are keyed (n, mode) over a fixed lane-mode grid
+(serial / parallel, both on the engine's one packed delivery path), so
+none are optional.
 
 Usage:
   bench_compare.py [--build-dir DIR] [--baseline-dir DIR] [--min-ratio R]
@@ -57,9 +58,9 @@ REGISTRY = {
     "BENCH_engine.json": {
         "bench": "bench_micro",
         "args": ["--benchmark_filter=NONE"],
-        # Rows are keyed by delivery mode (serial / parallel /
-        # parallel+packed), not thread count: the mode grid is fixed, so
-        # every baseline row must exist on every machine.
+        # Rows are keyed by lane mode (serial / parallel), not thread
+        # count: the mode grid is fixed, so every baseline row must exist
+        # on every machine.
         "keys": ("n", "mode"),
         "exact": (),
         "rates": ("rounds_per_sec", "messages_per_sec"),
