@@ -345,6 +345,48 @@ TEST(ServiceGolden, CommittedFixtureRestores) {
   EXPECT_EQ(build_golden_state()->serialize(), on_disk);
 }
 
+// Golden pin for the lazy index: a digest of component_labels() after
+// every batch of a seeded churn stream, plus the total Borůvka round count.
+// Both index modes run the same sketch Borůvka on the same sketches, so they
+// share one pin per detector layout; any change to the recompute path must
+// keep these constants.
+TEST(ServiceGolden, ChurnLabelDigests) {
+  const EdgeStream stream = generate_churn_stream(128, 192, 320, 41);
+  struct Pin {
+    std::uint32_t buckets;
+    std::uint64_t digest;
+    std::uint64_t boruvka_rounds;
+  };
+  const Pin pins[] = {{1, 4640519639912264787ULL, 54},
+                      {3, 4640519639912264787ULL, 35}};
+  for (const Pin& pin : pins) {
+    for (const IndexMode mode : {IndexMode::kEngine, IndexMode::kLocal}) {
+      SCOPED_TRACE(testing::Message()
+                   << "buckets=" << pin.buckets << " mode="
+                   << static_cast<int>(mode));
+      ServiceConfig config;
+      config.n = 128;
+      config.seed = 7;
+      config.buckets = pin.buckets;
+      config.tuning.index_mode = mode;
+      ConnectivityService service{config};
+      std::uint64_t digest = 0xcbf29ce484222325ULL;
+      for (std::size_t at = 0; at < stream.updates.size(); at += 128) {
+        const std::size_t take =
+            std::min<std::size_t>(128, stream.updates.size() - at);
+        service.apply_batch(std::span{stream.updates}.subspan(at, take));
+        for (const VertexId label : service.component_labels()) {
+          digest ^= label;
+          digest *= 0x100000001b3ULL;
+        }
+      }
+      EXPECT_EQ(digest, pin.digest);
+      EXPECT_EQ(service.stats().boruvka_rounds, pin.boruvka_rounds);
+      EXPECT_TRUE(service.monte_carlo_ok());
+    }
+  }
+}
+
 // Not a test of behavior: rewrites the committed fixture. Skipped unless
 // CCQ_WRITE_GOLDEN=1, so a plain ctest run never touches the file.
 TEST(ServiceGolden, Regenerate) {

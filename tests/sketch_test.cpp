@@ -230,6 +230,135 @@ TEST_P(SketchForestSeeds, MatchesTrueComponents) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SketchForestSeeds,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10));
 
+// Golden pins for sketch_spanning_forest. Each case records the forest
+// edge list (count plus an order-sensitive FNV-1a digest), the Borůvka round
+// count and the exhaustion flag. Any rewrite of the Borůvka loop must keep
+// these constants: the sampler, the root order, the candidate order and the
+// cursor/retry rules all feed them.
+struct ForestPin {
+  std::size_t edges;
+  std::uint64_t digest;
+  std::uint32_t rounds;
+  bool ran_out;
+};
+
+std::uint64_t forest_digest(const std::vector<Edge>& forest) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&](std::uint32_t word) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (word >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const Edge& e : forest) {
+    mix(e.u);
+    mix(e.v);
+  }
+  return h;
+}
+
+void expect_pin(const SketchForestResult& result, const ForestPin& pin) {
+  EXPECT_EQ(result.forest.size(), pin.edges);
+  EXPECT_EQ(forest_digest(result.forest), pin.digest);
+  EXPECT_EQ(result.boruvka_rounds, pin.rounds);
+  EXPECT_EQ(result.ran_out_of_sketches, pin.ran_out);
+}
+
+std::vector<Edge> incident_edges(const Graph& g, VertexId v) {
+  std::vector<Edge> out;
+  for (VertexId w : g.neighbors(v)) out.emplace_back(v, w);
+  return out;
+}
+
+/// Sketch Borůvka over g's plain vertices (identity component map).
+SketchForestResult plain_forest(const Graph& g, std::uint32_t copies,
+                                std::uint32_t buckets, Rng& rng) {
+  const std::uint32_t n = g.num_vertices();
+  const auto words =
+      rng.words(SketchSpace::seed_words_needed(n, copies, buckets));
+  const SketchSpace space{n, copies, words, buckets};
+  std::vector<VertexId> vertices(n);
+  std::vector<VertexId> identity(n);
+  std::vector<std::vector<L0Sketch>> per_vertex;
+  for (VertexId v = 0; v < n; ++v) {
+    vertices[v] = v;
+    identity[v] = v;
+    per_vertex.push_back(space.sketch_vertex(v, incident_edges(g, v)));
+  }
+  return sketch_spanning_forest(space, vertices, identity,
+                                std::move(per_vertex));
+}
+
+TEST(SketchForestGolden, SeededGrid) {
+  const std::uint32_t ns[] = {64, 512};
+  const std::uint32_t bucket_counts[] = {1, 3};
+  const ForestPin pins[2][2] = {
+      {{61, 5218104649872355864ULL, 6, false},
+       {61, 2296502161111677363ULL, 4, false}},
+      {{509, 8809477743494432824ULL, 8, false},
+       {509, 12780643971630495242ULL, 5, false}},
+  };
+  for (int a = 0; a < 2; ++a) {
+    for (int b = 0; b < 2; ++b) {
+      const std::uint32_t n = ns[a];
+      Rng rng{900 + n + bucket_counts[b]};
+      const Graph g = random_components(n, 3, n, rng);
+      const auto result =
+          plain_forest(g, default_sketch_copies(n), bucket_counts[b], rng);
+      SCOPED_TRACE(testing::Message() << "n=" << n
+                                      << " buckets=" << bucket_counts[b]);
+      expect_pin(result, pins[a][b]);
+    }
+  }
+}
+
+TEST(SketchForestGolden, SupervertexComponentMap) {
+  // Supervertices are groups of four scattered original vertices, named by
+  // their smallest member and listed in descending id order; a group's
+  // sketch is the sum of its members' (internal edges cancel), and sampled
+  // edges come back in original-vertex coordinates.
+  const std::uint32_t n = 128;
+  Rng rng{931};
+  const Graph g = random_components(n, 2, n, rng);
+  const std::uint32_t copies = default_sketch_copies(n);
+  const auto words = rng.words(SketchSpace::seed_words_needed(n, copies, 3));
+  const SketchSpace space{n, copies, words, 3};
+  std::vector<VertexId> component_of(n, n);
+  for (VertexId v = 0; v < n; ++v) {
+    const VertexId group = (v * 37 % n) / 4;
+    for (VertexId w = 0; w < n; ++w)
+      if ((w * 37 % n) / 4 == group) {
+        component_of[v] = w;  // smallest member
+        break;
+      }
+  }
+  std::map<VertexId, std::vector<L0Sketch>, std::greater<>> sums;
+  for (VertexId v = 0; v < n; ++v) {
+    auto [it, fresh] = sums.try_emplace(component_of[v]);
+    if (fresh) it->second = space.zero();
+    const auto sketches = space.sketch_vertex(v, incident_edges(g, v));
+    for (std::uint32_t j = 0; j < copies; ++j) it->second[j] += sketches[j];
+  }
+  std::vector<VertexId> vertices;
+  std::vector<std::vector<L0Sketch>> per_vertex;
+  for (auto& [leader, sketches] : sums) {
+    vertices.push_back(leader);
+    per_vertex.push_back(std::move(sketches));
+  }
+  const auto result = sketch_spanning_forest(space, vertices, component_of,
+                                             std::move(per_vertex));
+  for (const Edge& e : result.forest) EXPECT_TRUE(g.has_edge(e.u, e.v));
+  expect_pin(result, {31, 16549872549513294568ULL, 4, false});
+}
+
+TEST(SketchForestGolden, TwoCopiesRunOut) {
+  Rng rng{977};
+  const Graph g = random_connected(64, 64, rng);
+  const auto result = plain_forest(g, 2, 1, rng);
+  EXPECT_TRUE(result.ran_out_of_sketches);
+  expect_pin(result, {52, 1163947629719071934ULL, 3, true});
+}
+
 TEST(Wire, PacketizeAndReassemble) {
   Rng rng{15};
   const std::uint32_t n = 32;
