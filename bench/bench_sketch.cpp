@@ -100,18 +100,16 @@ int main(int argc, char** argv) {
       const auto g = random_connected(n, 2 * n, rng);
       const auto words = rng.words(SketchSpace::seed_words_needed(n, t));
       const SketchSpace space{n, t, words};
-      std::vector<VertexId> vertices;
-      std::vector<std::vector<L0Sketch>> per_vertex;
       std::vector<VertexId> identity(n);
+      SketchArena sketches;
       for (VertexId v = 0; v < n; ++v) {
         identity[v] = v;
         std::vector<Edge> incident;
         for (VertexId w : g.neighbors(v)) incident.emplace_back(v, w);
-        vertices.push_back(v);
-        per_vertex.push_back(space.sketch_vertex(v, incident));
+        sketches.append(space.sketch_vertex(v, incident));
       }
-      const auto result = sketch_spanning_forest(space, vertices, identity,
-                                                 std::move(per_vertex));
+      const auto result =
+          sketch_spanning_forest(space, identity, identity, sketches.view());
       if (!result.ran_out_of_sketches && result.forest.size() == n - 1)
         ++completed;
       else

@@ -66,26 +66,14 @@ SketchAndSpanResult sketch_and_span(CliqueEngine& engine,
   // --- Step 3: v* locally reassembles and runs sketch Borůvka.
   SketchReassembler reassembler{space, kTagSketch};
   for (const auto& m : route_buf.inbox(coordinator)) reassembler.add(m);
-  auto by_key = reassembler.take();
-  std::vector<VertexId> vertices;
-  std::vector<std::vector<L0Sketch>> per_vertex;
-  for (VertexId leader : g1.active_leaders) {
-    vertices.push_back(leader);
-    std::vector<L0Sketch> copies_of;
-    copies_of.reserve(copies);
-    for (std::uint32_t j = 0; j < copies; ++j) {
-      const auto it = by_key.find({leader, j});
-      check(it != by_key.end(), "sketch_and_span: missing sketch at v*");
-      copies_of.push_back(it->second);
-    }
-    per_vertex.push_back(std::move(copies_of));
-  }
+  const std::vector<VertexId>& vertices = g1.active_leaders;
+  const SketchArena sketches = reassembler.take(vertices);
   // In G1, supervertices *are* the leader ids; edges sampled from the
   // sketches have leader endpoints already.
   std::vector<VertexId> identity(n);
   for (VertexId v = 0; v < n; ++v) identity[v] = v;
-  auto forest = sketch_spanning_forest(space, vertices, identity,
-                                       std::move(per_vertex));
+  auto forest =
+      sketch_spanning_forest(space, vertices, identity, sketches.view());
   result.monte_carlo_ok = !forest.ran_out_of_sketches;
   result.boruvka_rounds = forest.boruvka_rounds;
   result.component_forest = std::move(forest.forest);

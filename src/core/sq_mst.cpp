@@ -125,24 +125,10 @@ SqMstResult sq_mst(CliqueEngine& engine, std::uint32_t n,
     // Reassemble sketches (guardian 0's G_0 is empty: no sketches).
     SketchReassembler reassembler{space, kTagSketch};
     for (const auto& m : sketch_inbox.inbox(guardian)) reassembler.add(m);
-    auto by_key = reassembler.take();
-    std::vector<VertexId> vertices;
-    std::vector<std::vector<L0Sketch>> per_vertex;
-    for (auto it = by_key.begin(); it != by_key.end();) {
-      const VertexId sender = it->first.first;
-      std::vector<L0Sketch> copies_of;
-      copies_of.reserve(copies);
-      for (std::uint32_t j = 0; j < copies; ++j, ++it) {
-        check(it != by_key.end() && it->first.first == sender &&
-                  it->first.second == j,
-              "sq_mst: missing sketch copy at guardian");
-        copies_of.push_back(it->second);
-      }
-      vertices.push_back(sender);
-      per_vertex.push_back(std::move(copies_of));
-    }
-    auto forest = sketch_spanning_forest(space, vertices, identity,
-                                         std::move(per_vertex));
+    const std::vector<VertexId> vertices = reassembler.senders();
+    const SketchArena sketches = reassembler.take(vertices);
+    auto forest =
+        sketch_spanning_forest(space, vertices, identity, sketches.view());
     if (forest.ran_out_of_sketches) result.monte_carlo_ok = false;
     // Kruskal filter over E_i in rank order against T_i connectivity.
     UnionFind uf{n};

@@ -769,18 +769,12 @@ std::vector<L0Sketch> ConnectivityService::sketches_of_locked(
 }
 
 SketchForestResult ConnectivityService::recompute_local_locked() {
-  const std::uint32_t n = config_.n;
-  std::vector<VertexId> vertices(n);
-  std::vector<VertexId> identity(n);
-  std::vector<std::vector<L0Sketch>> per_vertex;
-  per_vertex.reserve(n);
-  for (VertexId v = 0; v < n; ++v) {
-    vertices[v] = v;
-    identity[v] = v;
-    per_vertex.push_back(sketches_of_locked(v));
-  }
-  return sketch_spanning_forest(*space_, vertices, identity,
-                                std::move(per_vertex));
+  // The resident lanes already are the SketchArena layout (vertex v's copy
+  // j at block v * t + j), so Borůvka reads them in place.
+  std::vector<VertexId> identity(config_.n);
+  for (VertexId v = 0; v < config_.n; ++v) identity[v] = v;
+  return sketch_spanning_forest(*space_, identity, identity,
+                                {phi_, iota_, tau_});
 }
 
 SketchForestResult ConnectivityService::recompute_engine_locked() {
@@ -807,27 +801,11 @@ SketchForestResult ConnectivityService::recompute_engine_locked() {
   }
   SketchReassembler reassembler{*space_, kTagServiceSketch};
   for (const Message& m : route_buf.inbox(coordinator)) reassembler.add(m);
-  auto by_key = reassembler.take();
-  std::vector<VertexId> vertices(n);
   std::vector<VertexId> identity(n);
-  std::vector<std::vector<L0Sketch>> per_vertex;
-  per_vertex.reserve(n);
-  for (VertexId v = 0; v < n; ++v) {
-    vertices[v] = v;
-    identity[v] = v;
-    std::vector<L0Sketch> copies_of;
-    copies_of.reserve(config_.copies);
-    for (std::uint32_t j = 0; j < config_.copies; ++j) {
-      const auto it = by_key.find({v, j});
-      check(it != by_key.end(),
-            "ConnectivityService: sketch lost between routing and "
-            "reassembly");
-      copies_of.push_back(it->second);
-    }
-    per_vertex.push_back(std::move(copies_of));
-  }
-  SketchForestResult forest = sketch_spanning_forest(
-      *space_, vertices, identity, std::move(per_vertex));
+  for (VertexId v = 0; v < n; ++v) identity[v] = v;
+  const SketchArena sketches = reassembler.take(identity);
+  SketchForestResult forest =
+      sketch_spanning_forest(*space_, identity, identity, sketches.view());
   {
     TraceScope step{*engine_, "broadcast-forest"};
     std::vector<std::vector<std::uint64_t>> items;

@@ -19,8 +19,9 @@
 //      sketch Borůvka the GC algorithm runs (core/sketch_and_span shape) —
 //      vertices route their t sketch copies to a coordinator over the
 //      CliqueEngine, which samples inter-component edges and
-//      spray-broadcasts the forest. A generation counter makes unchanged
-//      state free: queries against a fresh index never recompute.
+//      spray-broadcasts the forest (IndexMode::kLocal runs that Borůvka on
+//      the resident lanes in place instead). A generation counter makes
+//      unchanged state free: queries against a fresh index never recompute.
 //   3. *Self-containment*: the full resident state (seed words, presence
 //      set, SoA sketch lanes, labels) round-trips through a versioned
 //      binary snapshot (service/snapshot) byte-identically.
@@ -96,7 +97,9 @@ enum class IndexMode : std::uint8_t {
   /// core/sketch_and_span.
   kEngine = 0,
   /// Coordinator-local: skip the routing and run sketch Borůvka directly
-  /// on the resident lanes. Same answers, no engine rounds — the serving
+  /// on the resident lanes — sketch_spanning_forest reads phi_/iota_/tau_
+  /// in place, with no copy, and sums only the one copy each component
+  /// samples per round. Same answers, no engine rounds — the serving
   /// configuration when query latency matters more than model accounting.
   kLocal = 1,
 };

@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "graph/union_find.hpp"
+#include "sketch/sketch_kernels.hpp"
 #include "util/error.hpp"
 
 namespace ccq {
@@ -65,25 +66,34 @@ std::vector<L0Sketch> SketchSpace::zero() const {
   return out;
 }
 
+void SketchArena::append(std::span<const L0Sketch> sketches) {
+  for (const L0Sketch& sketch : sketches) {
+    const SketchLanes lanes = sketch.lanes();
+    phi.insert(phi.end(), lanes.phi.begin(), lanes.phi.end());
+    iota.insert(iota.end(), lanes.iota.begin(), lanes.iota.end());
+    tau.insert(tau.end(), lanes.tau.begin(), lanes.tau.end());
+  }
+}
+
 SketchForestResult sketch_spanning_forest(
-    const SketchSpace& space, const std::vector<VertexId>& vertices,
-    const std::vector<VertexId>& component_of,
-    std::vector<std::vector<L0Sketch>> per_vertex) {
-  check(vertices.size() == per_vertex.size(),
-        "sketch_spanning_forest: vertices/sketches size mismatch");
+    const SketchSpace& space, std::span<const VertexId> vertices,
+    std::span<const VertexId> component_of, SketchLanes lanes) {
+  const std::uint32_t t = space.copies();
+  const std::size_t cells =
+      static_cast<std::size_t>(space.params().levels) * space.params().buckets;
+  const std::size_t words = vertices.size() * t * cells;
+  check(lanes.phi.size() == words && lanes.iota.size() == words &&
+            lanes.tau.size() == words,
+        "sketch_spanning_forest: lanes do not hold t sketches per vertex");
   SketchForestResult result;
   if (vertices.empty()) return result;
-  const std::uint32_t t = space.copies();
 
   // Dense position index for the participating supervertices.
   std::unordered_map<VertexId, std::size_t> position;
   position.reserve(vertices.size());
-  for (std::size_t i = 0; i < vertices.size(); ++i) {
+  for (std::size_t i = 0; i < vertices.size(); ++i)
     check(position.emplace(vertices[i], i).second,
           "sketch_spanning_forest: duplicate supervertex");
-    check(per_vertex[i].size() == t,
-          "sketch_spanning_forest: wrong sketch count for a vertex");
-  }
   auto supervertex_position = [&](VertexId original) -> std::size_t {
     check(original < component_of.size(),
           "sketch_spanning_forest: vertex outside component map");
@@ -94,10 +104,34 @@ SketchForestResult sketch_spanning_forest(
   };
 
   UnionFind uf{vertices.size()};
-  // Per-root state: accumulated sketches and next fresh family index.
-  std::vector<std::vector<L0Sketch>> acc = std::move(per_vertex);
+  // Per-root state: the member list (singly linked, headed by the root
+  // itself, so a singleton is a root with no successor) and the next fresh
+  // family index. A root's sketch of copy j is the sum of its members'
+  // copy j; it is formed only for the one copy a round samples.
+  constexpr std::size_t kEnd = ~std::size_t{0};
+  std::vector<std::size_t> next_member(vertices.size(), kEnd);
+  std::vector<std::size_t> last_member(vertices.size());
+  for (std::size_t i = 0; i < vertices.size(); ++i) last_member[i] = i;
   std::vector<std::uint32_t> cursor(vertices.size(), 0);
   std::vector<bool> done(vertices.size(), false);  // no outgoing edges
+  std::vector<std::int64_t> sum_phi(cells);
+  std::vector<std::int64_t> sum_iota(cells);
+  std::vector<std::uint64_t> sum_tau(cells);
+  auto root_sketch = [&](std::size_t root, std::uint32_t j) -> SketchLanes {
+    const SketchLanes head = lanes.sketch(root * t + j, cells);
+    if (next_member[root] == kEnd) return head;  // singleton: read in place
+    std::copy(head.phi.begin(), head.phi.end(), sum_phi.begin());
+    std::copy(head.iota.begin(), head.iota.end(), sum_iota.begin());
+    std::copy(head.tau.begin(), head.tau.end(), sum_tau.begin());
+    for (std::size_t m = next_member[root]; m != kEnd; m = next_member[m]) {
+      const SketchLanes member = lanes.sketch(m * t + j, cells);
+      kernels::sketch_accumulate(sum_phi.data(), sum_iota.data(),
+                                 sum_tau.data(), member.phi.data(),
+                                 member.iota.data(), member.tau.data(),
+                                 cells);
+    }
+    return {sum_phi, sum_iota, sum_tau};
+  };
 
   bool progress = true;
   while (progress) {
@@ -114,32 +148,29 @@ SketchForestResult sketch_spanning_forest(
         result.ran_out_of_sketches = true;
         continue;
       }
-      const L0Sketch& sketch = acc[root][cursor[root]];
-      ++cursor[root];
-      if (sketch.appears_zero()) {
+      const std::uint32_t j = cursor[root]++;
+      const SketchLanes sketch = root_sketch(root, j);
+      if (lanes_appear_zero(sketch)) {
         done[root] = true;  // isolated supervertex / finished component
         continue;
       }
       any_live = true;
-      const auto sample = sketch.sample();
+      const auto sample = sample_lanes(space.family(j), sketch);
       if (!sample) continue;  // sampler failure; retry next round
-      const Edge e = edge_from_index(sample->index, space.n());
-      candidates.push_back(e);
+      candidates.push_back(edge_from_index(sample->index, space.n()));
     }
     for (const Edge& e : candidates) {
-      const std::size_t pu = supervertex_position(e.u);
-      const std::size_t pv = supervertex_position(e.v);
-      const std::size_t ru = uf.find(pu);
-      const std::size_t rv = uf.find(pv);
+      const std::size_t ru = uf.find(supervertex_position(e.u));
+      const std::size_t rv = uf.find(supervertex_position(e.v));
       if (ru == rv) continue;  // stale (already merged this round)
-      // Merge sketch state into the surviving root.
+      // The surviving root adopts the other's members.
       uf.unite(ru, rv);
       const std::size_t keep = uf.find(ru);
       const std::size_t drop = keep == ru ? rv : ru;
-      for (std::uint32_t j = 0; j < t; ++j) acc[keep][j] += acc[drop][j];
+      next_member[last_member[keep]] = drop;
+      last_member[keep] = last_member[drop];
       cursor[keep] = std::max(cursor[keep], cursor[drop]);
       done[keep] = false;
-      acc[drop].clear();
       result.forest.push_back(e);
       progress = true;
     }

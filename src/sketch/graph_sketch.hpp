@@ -14,6 +14,16 @@
 // universe; each Borůvka round consumes one fresh family index per
 // component (reusing a sampled sketch would condition the randomness, so
 // the algorithms — like the paper — budget Θ(log n) independent copies).
+//
+// sketch_spanning_forest reads every participant's t copies from one flat
+// SoA lane run (SketchLanes) and never materializes a per-component sketch
+// set: each round, a live component sums only the one copy it is about to
+// sample, over its member list, into a reused scratch. Linearity makes that
+// sum exactly the merged sketch an eager implementation would hold (int64
+// and GF(2^61 - 1) addition are exact and associative), so the forest is
+// the same edge for edge; the work per round is one copy per participant
+// instead of t copies per merge, and the service's resident lanes are read
+// in place.
 #pragma once
 
 #include <cstdint>
@@ -65,6 +75,19 @@ class SketchSpace {
   std::vector<SketchFamily> families_;
 };
 
+/// Owning storage for per-vertex sketch copies in the lane layout
+/// sketch_spanning_forest reads: vertex i's copy j is the sketch at index
+/// i * t + j, i.e. cells [(i * t + j) * cells, +cells) of every lane.
+struct SketchArena {
+  std::vector<std::int64_t> phi;
+  std::vector<std::int64_t> iota;
+  std::vector<std::uint64_t> tau;
+
+  /// Append sketches (a vertex's t copies, in copy order).
+  void append(std::span<const L0Sketch> sketches);
+  SketchLanes view() const { return {phi, iota, tau}; }
+};
+
 /// Result of the coordinator-local sketch Borůvka.
 struct SketchForestResult {
   std::vector<Edge> forest;      // edges of a spanning forest (w.h.p. maximal)
@@ -76,13 +99,13 @@ struct SketchForestResult {
 /// graph underlying the sketches. `vertices` lists the participating
 /// (super-)vertex ids; `component_of` maps every original vertex id in
 /// [0,n) to its supervertex id (identity when sketching plain vertices);
-/// `per_vertex[i]` holds the t sketches of vertices[i]. Succeeds w.h.p.;
-/// on sampler exhaustion returns the partial forest with
+/// `lanes` holds the t sketch copies of every vertices[i] in SketchArena
+/// order (copy j of vertices[i] is sketch i * t + j). Succeeds w.h.p.; on
+/// sampler exhaustion returns the partial forest with
 /// ran_out_of_sketches = true (a Monte Carlo failure the caller may
 /// surface, mirroring the paper's w.h.p. guarantee).
 SketchForestResult sketch_spanning_forest(
-    const SketchSpace& space, const std::vector<VertexId>& vertices,
-    const std::vector<VertexId>& component_of,
-    std::vector<std::vector<L0Sketch>> per_vertex);
+    const SketchSpace& space, std::span<const VertexId> vertices,
+    std::span<const VertexId> component_of, SketchLanes lanes);
 
 }  // namespace ccq

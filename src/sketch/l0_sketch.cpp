@@ -148,14 +148,19 @@ L0Sketch L0Sketch::negated() const {
   return out;
 }
 
-std::optional<L0Sample> L0Sketch::sample() const {
+std::optional<L0Sample> sample_lanes(const SketchFamily& family,
+                                     SketchLanes sketch) {
   // Scan from the sparsest level down; within a level, scan its buckets.
   // The first exactly-1-sparse detector yields the sample. The vectorized
   // prefilter (|φ| == 1 per cell) skips empty high levels and dense low
   // levels without touching ι/τ; the expensive field verification runs only
   // on candidate cells, in the exact order the direct scan used.
-  const std::uint32_t buckets = family_->params().buckets;
-  const std::size_t cells = phi_.size();
+  const SketchParams& params = family.params();
+  const std::size_t cells = static_cast<std::size_t>(params.levels) *
+                            params.buckets;
+  check(sketch.phi.size() == cells && sketch.iota.size() == cells &&
+            sketch.tau.size() == cells,
+        "sample_lanes: lanes do not match the family's cell count");
   const std::size_t words = (cells + 63) / 64;
   std::uint64_t mask_stack[8];
   std::vector<std::uint64_t> mask_heap;
@@ -164,37 +169,46 @@ std::optional<L0Sample> L0Sketch::sample() const {
     mask_heap.resize(words);
     mask = mask_heap.data();
   }
-  kernels::one_sparse_mask(phi_.data(), cells, mask);
-  for (std::uint32_t level = family_->params().levels; level-- > 0;) {
-    for (std::uint32_t b = 0; b < buckets; ++b) {
-      const std::size_t cell = static_cast<std::size_t>(level) * buckets + b;
+  kernels::one_sparse_mask(sketch.phi.data(), cells, mask);
+  for (std::uint32_t level = params.levels; level-- > 0;) {
+    for (std::uint32_t b = 0; b < params.buckets; ++b) {
+      const std::size_t cell =
+          static_cast<std::size_t>(level) * params.buckets + b;
       if (((mask[cell / 64] >> (cell % 64)) & 1) == 0) continue;
-      const std::int64_t phi = phi_[cell];
-      const std::int64_t signed_index = iota_[cell] / phi;
-      if (signed_index < 0 ||
-          iota_[cell] != phi * signed_index ||
-          static_cast<std::uint64_t>(signed_index) >=
-              family_->params().universe)
+      const std::int64_t phi = sketch.phi[cell];
+      const std::int64_t iota = sketch.iota[cell];
+      const std::int64_t signed_index = iota / phi;
+      if (signed_index < 0 || iota != phi * signed_index ||
+          static_cast<std::uint64_t>(signed_index) >= params.universe)
         continue;
       const auto index = static_cast<std::uint64_t>(signed_index);
       // The surviving coordinate must genuinely belong to this detector.
-      if (family_->level_of(index) < level) continue;
-      if (family_->bucket_of(level, index) != b) continue;
+      if (family.level_of(index) < level) continue;
+      if (family.bucket_of(level, index) != b) continue;
       // Fingerprint test: τ must equal φ · z^index.
-      const std::uint64_t expect_mag = family_->fingerprint(level, index);
+      const std::uint64_t expect_mag = family.fingerprint(level, index);
       const std::uint64_t expect =
           phi > 0 ? expect_mag : field::neg(expect_mag);
-      if (tau_[cell] != expect) continue;
+      if (sketch.tau[cell] != expect) continue;
       return L0Sample{index, phi > 0 ? 1 : -1};
     }
   }
   return std::nullopt;
 }
 
-bool L0Sketch::appears_zero() const {
-  return !kernels::any_nonzero(phi_.data(), iota_.data(), tau_.data(),
-                               phi_.size());
+bool lanes_appear_zero(SketchLanes sketch) {
+  check(sketch.iota.size() == sketch.phi.size() &&
+            sketch.tau.size() == sketch.phi.size(),
+        "lanes_appear_zero: lane lengths differ");
+  return !kernels::any_nonzero(sketch.phi.data(), sketch.iota.data(),
+                               sketch.tau.data(), sketch.phi.size());
 }
+
+std::optional<L0Sample> L0Sketch::sample() const {
+  return sample_lanes(*family_, lanes());
+}
+
+bool L0Sketch::appears_zero() const { return lanes_appear_zero(lanes()); }
 
 std::vector<std::uint64_t> L0Sketch::to_words() const {
   std::vector<std::uint64_t> out;
@@ -212,12 +226,23 @@ L0Sketch L0Sketch::from_words(const SketchFamily& family,
   if (words.size() != word_size(family.params()))
     throw InvalidArgument("L0Sketch::from_words: wrong payload size");
   L0Sketch out{family};
-  for (std::size_t c = 0; c < out.phi_.size(); ++c) {
-    out.phi_[c] = zigzag_decode(words[3 * c]);
-    out.iota_[c] = zigzag_decode(words[3 * c + 1]);
-    out.tau_[c] = words[3 * c + 2];
-  }
+  decode_words(words, out.phi_, out.iota_, out.tau_);
   return out;
+}
+
+void L0Sketch::decode_words(std::span<const std::uint64_t> words,
+                            std::span<std::int64_t> phi,
+                            std::span<std::int64_t> iota,
+                            std::span<std::uint64_t> tau) {
+  const std::size_t cells = phi.size();
+  if (words.size() != 3 * cells || iota.size() != cells ||
+      tau.size() != cells)
+    throw InvalidArgument("L0Sketch::decode_words: wrong payload size");
+  for (std::size_t c = 0; c < cells; ++c) {
+    phi[c] = zigzag_decode(words[3 * c]);
+    iota[c] = zigzag_decode(words[3 * c + 1]);
+    tau[c] = words[3 * c + 2];
+  }
 }
 
 L0Sketch L0Sketch::from_lanes(const SketchFamily& family,

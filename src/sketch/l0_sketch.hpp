@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "hash/kwise.hpp"
@@ -94,6 +95,36 @@ struct L0Sample {
   int sign{0};
 };
 
+/// Read-only view of detector state in structure-of-arrays layout: the
+/// three lanes hold one or more sketches back to back, each `cells` =
+/// levels * buckets wide in cell order (level * buckets + bucket). This is
+/// the form callers keep sketch state in when they own many sketches — the
+/// service's resident per-vertex lanes, a coordinator's reassembled arena —
+/// and the form the sampler reads.
+struct SketchLanes {
+  std::span<const std::int64_t> phi;   // Σ c_i per cell
+  std::span<const std::int64_t> iota;  // Σ c_i · i per cell
+  std::span<const std::uint64_t> tau;  // Σ c_i · z^i (mod p) per cell
+
+  /// Sketch s of a run of `cells`-wide sketches.
+  SketchLanes sketch(std::size_t s, std::size_t cells) const {
+    return {phi.subspan(s * cells, cells), iota.subspan(s * cells, cells),
+            tau.subspan(s * cells, cells)};
+  }
+};
+
+/// The l0 sampler over one sketch's lanes (each family.params() cells
+/// long). Scans levels from sparsest to densest; returns nullopt if no
+/// level is exactly 1-sparse (sampler failure — the caller retries with an
+/// independent sketch, exactly as the paper's algorithms do with their
+/// Θ(log n) sketch copies).
+std::optional<L0Sample> sample_lanes(const SketchFamily& family,
+                                     SketchLanes sketch);
+
+/// True iff every detector of the sketch is identically zero. For a sketch
+/// of a cut vector this is the (one-sided) "no outgoing edge" signal.
+bool lanes_appear_zero(SketchLanes sketch);
+
 /// A linear l0 sketch of a vector in {-1,0,1}^N.
 class L0Sketch {
  public:
@@ -108,26 +139,30 @@ class L0Sketch {
   /// Negate (so subtraction is addition of a negated sketch).
   L0Sketch negated() const;
 
-  /// Try to recover a nonzero coordinate. Scans levels from sparsest to
-  /// densest; returns nullopt if no level is exactly 1-sparse (sampler
-  /// failure — the caller retries with an independent sketch, exactly as
-  /// the paper's algorithms do with their Θ(log n) sketch copies).
+  /// sample_lanes / lanes_appear_zero over this sketch's lanes.
   std::optional<L0Sample> sample() const;
-
-  /// True iff every detector is identically zero. For a sketch of a cut
-  /// vector this is the (one-sided) "no outgoing edge" signal.
   bool appears_zero() const;
+
+  /// This sketch's detector lanes.
+  SketchLanes lanes() const { return {phi_, iota_, tau_}; }
 
   /// Serialize to 3 words per level (φ zigzag-coded, ι zigzag-coded, τ);
   /// the wire format the algorithms ship through O(log n)-bit messages.
   std::vector<std::uint64_t> to_words() const;
   static L0Sketch from_words(const SketchFamily& family,
                              std::span<const std::uint64_t> words);
+  /// Decode a serialized sketch into caller-owned lanes, each
+  /// words.size() / 3 long (from_words decodes through this).
+  static void decode_words(std::span<const std::uint64_t> words,
+                           std::span<std::int64_t> phi,
+                           std::span<std::int64_t> iota,
+                           std::span<std::uint64_t> tau);
 
   /// Build a sketch by copying raw detector lanes (cell order, one value
   /// per level*buckets cell). This is the bridge for callers that keep
   /// sketch state in flat SoA arenas — the connectivity service's resident
-  /// per-vertex state — and only materialize L0Sketch objects to sample.
+  /// per-vertex state — and materialize L0Sketch objects only to serialize
+  /// them for routing (sampling reads the lanes in place).
   static L0Sketch from_lanes(const SketchFamily& family,
                              std::span<const std::int64_t> phi,
                              std::span<const std::int64_t> iota,
@@ -142,7 +177,7 @@ class L0Sketch {
   // Detector state in structure-of-arrays layout, indexed
   // level * buckets + bucket: three contiguous same-typed lanes so the two
   // hot operations — operator+= when a coordinator sums per-component
-  // sketches, and sample()'s 1-sparse candidate scan — run through the
+  // sketches, and sample_lanes' 1-sparse candidate scan — run through the
   // vectorized kernels in sketch/sketch_kernels (bit-identical scalar and
   // AVX2 paths). The wire format (to_words/from_words) is unchanged:
   // serialization still interleaves (φ, ι, τ) per cell.

@@ -54,18 +54,38 @@ void SketchReassembler::add(const Message& m) {
   received_[key] += m.count;
 }
 
-std::map<std::pair<VertexId, std::uint32_t>, L0Sketch>
-SketchReassembler::take() {
-  std::map<std::pair<VertexId, std::uint32_t>, L0Sketch> out;
-  for (auto& [key, buffer] : buffers_) {
-    check(received_.at(key) == space_->sketch_words(),
-          "SketchReassembler: incomplete sketch");
-    out.emplace(key,
-                L0Sketch::from_words(space_->family(key.second), buffer));
+std::vector<VertexId> SketchReassembler::senders() const {
+  std::vector<VertexId> out;
+  for (const auto& [key, buffer] : buffers_)
+    if (out.empty() || out.back() != key.first) out.push_back(key.first);
+  return out;
+}
+
+SketchArena SketchReassembler::take(std::span<const VertexId> senders) {
+  const std::uint32_t t = space_->copies();
+  const std::size_t cells = space_->sketch_words() / 3;
+  check(buffers_.size() == senders.size() * t,
+        "SketchReassembler: sketches from an unlisted sender");
+  SketchArena arena;
+  arena.phi.resize(buffers_.size() * cells);
+  arena.iota.resize(buffers_.size() * cells);
+  arena.tau.resize(buffers_.size() * cells);
+  std::size_t at = 0;
+  for (const VertexId sender : senders) {
+    for (std::uint32_t j = 0; j < t; ++j, at += cells) {
+      const auto it = buffers_.find({sender, j});
+      check(it != buffers_.end(), "SketchReassembler: missing sketch copy");
+      check(received_.at(it->first) == space_->sketch_words(),
+            "SketchReassembler: incomplete sketch");
+      L0Sketch::decode_words(it->second,
+                             std::span{arena.phi}.subspan(at, cells),
+                             std::span{arena.iota}.subspan(at, cells),
+                             std::span{arena.tau}.subspan(at, cells));
+    }
   }
   buffers_.clear();
   received_.clear();
-  return out;
+  return arena;
 }
 
 }  // namespace ccq

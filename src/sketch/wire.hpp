@@ -4,11 +4,12 @@
 // O(log^4 n) bits of Theorem 1); a Congested Clique message carries at most
 // kMaxWords of them, so one sketch becomes ceil(words/kMaxWords) messages.
 // The copy index and chunk index ride in the message tag; the receiver
-// reassembles per (sender, copy).
+// reassembles per (sender, copy) and decodes into one SoA lane arena.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "comm/routing.hpp"
@@ -35,8 +36,14 @@ class SketchReassembler {
   /// Feed one delivered message (ignores messages with a foreign tag_base).
   void add(const Message& m);
 
-  /// All fully reassembled sketches; throws if a sketch is incomplete.
-  std::map<std::pair<VertexId, std::uint32_t>, L0Sketch> take();
+  /// Senders with at least one buffered chunk, ascending.
+  std::vector<VertexId> senders() const;
+
+  /// Decode every copy of every listed sender, in list order, straight
+  /// into one arena (SketchArena layout, ready for sketch_spanning_forest)
+  /// and reset. Throws if a listed sender's copy is missing or incomplete,
+  /// or if a sender outside the list delivered sketches.
+  SketchArena take(std::span<const VertexId> senders);
 
  private:
   const SketchSpace* space_;

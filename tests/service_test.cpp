@@ -18,10 +18,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "graph/union_find.hpp"
 #include "service/connectivity_service.hpp"
 #include "service/edge_stream.hpp"
 #include "service/service_error.hpp"
@@ -225,6 +227,96 @@ TEST(Service, QueriesAreFreeOnFreshIndex) {
   for (int i = 0; i < 100; ++i) (void)service.connected(0, 1);
   EXPECT_EQ(service.stats().recomputes, recomputes);
   EXPECT_GE(service.stats().queries, 100u);
+}
+
+/// Exact oracle: canonical labels (smallest member id) of the graph whose
+/// edge set is `live`, by sequential union-find.
+std::vector<VertexId> oracle_labels(std::uint32_t n,
+                                    const std::set<std::pair<VertexId, VertexId>>&
+                                        live) {
+  UnionFind uf{n};
+  for (const auto& [u, v] : live) uf.unite(u, v);
+  std::vector<VertexId> min_of(n, n);
+  std::vector<VertexId> labels(n);
+  for (VertexId v = 0; v < n; ++v) {
+    const std::size_t root = uf.find(v);
+    if (min_of[root] == n) min_of[root] = v;
+    labels[v] = min_of[root];
+  }
+  return labels;
+}
+
+/// Replays a seeded churn stream batch by batch and, after every batch,
+/// checks every vertex's label against the oracle over the replayed edge
+/// set. With `restore_at` > 0 the service is snapshotted and restored
+/// before that batch, and the restored instance carries on.
+void expect_labels_match_oracle(const ServiceConfig& config,
+                                std::size_t initial, std::size_t churn,
+                                std::uint64_t seed, std::size_t batch,
+                                std::size_t restore_at = 0) {
+  const EdgeStream stream =
+      generate_churn_stream(config.n, initial, churn, seed);
+  auto service = std::make_unique<ConnectivityService>(config);
+  std::set<std::pair<VertexId, VertexId>> live;
+  std::size_t batches = 0;
+  for (std::size_t at = 0; at < stream.updates.size(); at += batch) {
+    if (restore_at > 0 && batches == restore_at)
+      service = ConnectivityService::restore(service->serialize(),
+                                             config.tuning);
+    const std::size_t take =
+        std::min<std::size_t>(batch, stream.updates.size() - at);
+    const auto updates = std::span{stream.updates}.subspan(at, take);
+    service->apply_batch(updates);
+    for (const EdgeUpdate& up : updates) {
+      const auto key = std::minmax(up.u, up.v);
+      if (up.op == EdgeOp::kInsert)
+        live.insert(key);
+      else
+        live.erase(key);
+    }
+    ++batches;
+    ASSERT_EQ(service->component_labels(), oracle_labels(config.n, live))
+        << "after batch " << batches;
+    ASSERT_TRUE(service->monte_carlo_ok()) << "after batch " << batches;
+  }
+  EXPECT_EQ(service->stats().live_edges, live.size());
+}
+
+TEST(ServiceOracle, LocalIndexMatchesUnionFindUnderChurn) {
+  for (const std::uint32_t n : {64u, 512u}) {
+    for (const std::uint32_t buckets : {1u, 3u}) {
+      for (const std::uint32_t threads : {1u, 4u}) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " buckets="
+                                        << buckets << " threads=" << threads);
+        ServiceConfig config;
+        config.n = n;
+        config.seed = 17 + n + buckets;
+        config.buckets = buckets;
+        config.tuning.threads = threads;
+        config.tuning.index_mode = IndexMode::kLocal;
+        expect_labels_match_oracle(config, n + n / 4, n, 50 + n, n / 2);
+      }
+    }
+  }
+}
+
+TEST(ServiceOracle, EngineIndexMatchesUnionFindUnderChurn) {
+  ServiceConfig config;
+  config.n = 64;
+  config.seed = 23;
+  config.tuning.index_mode = IndexMode::kEngine;
+  expect_labels_match_oracle(config, 80, 64, 61, 32);
+}
+
+TEST(ServiceOracle, RestoreMidStreamKeepsMatching) {
+  for (const IndexMode mode : {IndexMode::kLocal, IndexMode::kEngine}) {
+    SCOPED_TRACE(testing::Message() << "mode=" << static_cast<int>(mode));
+    ServiceConfig config;
+    config.n = 64;
+    config.seed = 29;
+    config.tuning.index_mode = mode;
+    expect_labels_match_oracle(config, 80, 64, 67, 32, 3);
+  }
 }
 
 TEST(Snapshot, RoundTripIsByteIdentical) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -206,18 +207,16 @@ TEST_P(SketchForestSeeds, MatchesTrueComponents) {
   const std::uint32_t copies = default_sketch_copies(n);
   const auto words = rng.words(SketchSpace::seed_words_needed(n, copies));
   const SketchSpace space{n, copies, words};
-  std::vector<VertexId> vertices;
-  std::vector<std::vector<L0Sketch>> per_vertex;
   std::vector<VertexId> identity(n);
+  SketchArena sketches;
   for (VertexId v = 0; v < n; ++v) {
     identity[v] = v;
     std::vector<Edge> incident;
     for (VertexId w : g.neighbors(v)) incident.emplace_back(v, w);
-    vertices.push_back(v);
-    per_vertex.push_back(space.sketch_vertex(v, incident));
+    sketches.append(space.sketch_vertex(v, incident));
   }
-  const auto result = sketch_spanning_forest(space, vertices, identity,
-                                             std::move(per_vertex));
+  const auto result =
+      sketch_spanning_forest(space, identity, identity, sketches.view());
   EXPECT_FALSE(result.ran_out_of_sketches);
   UnionFind uf{n};
   for (const Edge& e : result.forest) {
@@ -277,16 +276,13 @@ SketchForestResult plain_forest(const Graph& g, std::uint32_t copies,
   const auto words =
       rng.words(SketchSpace::seed_words_needed(n, copies, buckets));
   const SketchSpace space{n, copies, words, buckets};
-  std::vector<VertexId> vertices(n);
   std::vector<VertexId> identity(n);
-  std::vector<std::vector<L0Sketch>> per_vertex;
+  SketchArena sketches;
   for (VertexId v = 0; v < n; ++v) {
-    vertices[v] = v;
     identity[v] = v;
-    per_vertex.push_back(space.sketch_vertex(v, incident_edges(g, v)));
+    sketches.append(space.sketch_vertex(v, incident_edges(g, v)));
   }
-  return sketch_spanning_forest(space, vertices, identity,
-                                std::move(per_vertex));
+  return sketch_spanning_forest(space, identity, identity, sketches.view());
 }
 
 TEST(SketchForestGolden, SeededGrid) {
@@ -340,13 +336,13 @@ TEST(SketchForestGolden, SupervertexComponentMap) {
     for (std::uint32_t j = 0; j < copies; ++j) it->second[j] += sketches[j];
   }
   std::vector<VertexId> vertices;
-  std::vector<std::vector<L0Sketch>> per_vertex;
-  for (auto& [leader, sketches] : sums) {
+  SketchArena sketches;
+  for (const auto& [leader, sum] : sums) {
     vertices.push_back(leader);
-    per_vertex.push_back(std::move(sketches));
+    sketches.append(sum);
   }
   const auto result = sketch_spanning_forest(space, vertices, component_of,
-                                             std::move(per_vertex));
+                                             sketches.view());
   for (const Edge& e : result.forest) EXPECT_TRUE(g.has_edge(e.u, e.v));
   expect_pin(result, {31, 16549872549513294568ULL, 4, false});
 }
@@ -379,13 +375,43 @@ TEST(Wire, PacketizeAndReassemble) {
     m.dst = p.dst;
     reassembler.add(m);
   }
-  auto result = reassembler.take();
-  ASSERT_EQ(result.size(), 3u);
+  EXPECT_EQ(reassembler.senders(), std::vector<VertexId>{5});
+  const std::vector<VertexId> senders{5};
+  const SketchArena arena = reassembler.take(senders);
+  const std::size_t cells = space.sketch_words() / 3;
+  ASSERT_EQ(arena.phi.size(), 3 * cells);
   for (std::uint32_t j = 0; j < 3; ++j) {
-    const auto it = result.find({5, j});
-    ASSERT_NE(it, result.end());
-    EXPECT_EQ(it->second.to_words(), sketches[j].to_words());
+    const SketchLanes got = arena.view().sketch(j, cells);
+    const SketchLanes want = sketches[j].lanes();
+    EXPECT_TRUE(std::ranges::equal(got.phi, want.phi)) << "copy " << j;
+    EXPECT_TRUE(std::ranges::equal(got.iota, want.iota)) << "copy " << j;
+    EXPECT_TRUE(std::ranges::equal(got.tau, want.tau)) << "copy " << j;
   }
+  // take() resets: a second take finds nothing to decode.
+  EXPECT_TRUE(reassembler.senders().empty());
+}
+
+TEST(Wire, MissingOrUnlistedSenderRejected) {
+  Rng rng{17};
+  const auto words = rng.words(SketchSpace::seed_words_needed(16, 2));
+  const SketchSpace space{16, 2, words};
+  std::vector<Packet> packets;
+  const auto sketches = space.sketch_vertex(3, std::vector<Edge>{{3, 4}});
+  for (std::uint32_t j = 0; j < 2; ++j)
+    append_sketch_packets(packets, 3, 0, 0x00050000, j, sketches[j]);
+  auto feed = [&](SketchReassembler& reassembler) {
+    for (const auto& p : packets) {
+      Message m = p.msg;
+      m.src = p.src;
+      reassembler.add(m);
+    }
+  };
+  SketchReassembler unlisted{space, 0x00050000};
+  feed(unlisted);
+  EXPECT_THROW(unlisted.take(std::vector<VertexId>{}), std::logic_error);
+  SketchReassembler missing{space, 0x00050000};
+  feed(missing);
+  EXPECT_THROW(missing.take(std::vector<VertexId>{4}), std::logic_error);
 }
 
 TEST(Wire, ForeignTagsIgnored) {
@@ -396,7 +422,8 @@ TEST(Wire, ForeignTagsIgnored) {
   Message foreign = msg1(0x00990000, 1);
   foreign.src = 2;
   reassembler.add(foreign);
-  EXPECT_TRUE(reassembler.take().empty());
+  EXPECT_TRUE(reassembler.senders().empty());
+  EXPECT_TRUE(reassembler.take(std::vector<VertexId>{}).phi.empty());
 }
 
 TEST(CfBuckets, BucketedSingleItemRecovered) {
