@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
 
 #include "comm/primitives.hpp"
 #include "comm/routing.hpp"
@@ -192,6 +193,127 @@ TEST(Routing, ObserverSeesTwoHops) {
   RoundBuffer inbox;
   route_packets_into(engine, packets, inbox);
   EXPECT_EQ(count, 4u);
+}
+
+// Golden pins for the central schedules. Each constant is an
+// order-sensitive FNV-1a digest (or an exact count) of what the colouring
+// and the router produce today; a rewrite of bipartite_edge_coloring or of
+// route_packets_into's wave split must reproduce them bit for bit, because
+// relay choice feeds the observer, the load profile and every trace.
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t word) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (word >> (8 * b)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(ColoringGolden, SmallRandomMultigraphs) {
+  Rng rng{41};
+  std::uint64_t h = kFnvBasis;
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto left = static_cast<std::uint32_t>(1 + rng.next_below(16));
+    const auto right = static_cast<std::uint32_t>(1 + rng.next_below(16));
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+    const std::size_t m = rng.next_below(300);
+    for (std::size_t i = 0; i < m; ++i)
+      edges.emplace_back(rng.next_below(left), rng.next_below(right));
+    for (std::uint32_t c : bipartite_edge_coloring(edges, left, right))
+      h = fnv_mix(h, c);
+  }
+  EXPECT_EQ(h, 16183129888119745015ULL);
+}
+
+TEST(ColoringGolden, HotReceiversFarAboveN) {
+  // n = 512 with 7/8 of 100k edges landing on four hot receivers: degree
+  // ~22k >> n, the SQ-MST guardian shape.
+  const std::uint32_t n = 512;
+  const std::uint32_t hot[] = {5, 130, 257, 511};
+  Rng rng{43};
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  for (int i = 0; i < 100000; ++i) {
+    const auto src = static_cast<std::uint32_t>(rng.next_below(n));
+    const auto dst = rng.next_below(8) == 0
+                         ? static_cast<std::uint32_t>(rng.next_below(n))
+                         : hot[rng.next_below(4)];
+    edges.emplace_back(src, dst);
+  }
+  const auto color = bipartite_edge_coloring(edges, n, n);
+  std::uint64_t h = kFnvBasis;
+  for (std::uint32_t c : color) h = fnv_mix(h, c);
+  EXPECT_EQ(1 + *std::max_element(color.begin(), color.end()), 32768u);
+  EXPECT_EQ(h, 13374729968415102874ULL);
+}
+
+struct RoutePin {
+  std::uint64_t rounds;
+  std::uint64_t color_batches;
+  std::uint64_t max_send_load;
+  std::uint64_t max_recv_load;
+  std::uint64_t engine_rounds;
+  std::uint64_t messages;
+  std::uint64_t words;
+  std::uint64_t max_messages_in_round;
+  std::uint64_t relay_digest;  // observer (src, dst) sequence
+};
+
+/// Routes `count` packets on an n-node clique; a packet goes to one of
+/// `hot` (if nonempty) with probability 7/8, else to a uniform receiver.
+/// Payloads carry 0..3 words so the word accounting is exercised.
+void expect_route_pin(std::uint32_t n, std::uint32_t messages_per_link,
+                      std::size_t count, const std::vector<VertexId>& hot,
+                      std::uint64_t seed, const RoutePin& pin) {
+  Rng rng{seed};
+  std::vector<Packet> packets;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto src = static_cast<VertexId>(rng.next_below(n));
+    const auto dst =
+        !hot.empty() && rng.next_below(8) != 0
+            ? hot[rng.next_below(hot.size())]
+            : static_cast<VertexId>(rng.next_below(n));
+    const std::uint64_t words[] = {i, i + 1, i + 2};
+    packets.push_back(
+        {src, dst, make_message(0, std::span{words, i % 4})});
+  }
+  CliqueEngine engine{{.n = n, .messages_per_link = messages_per_link}};
+  std::uint64_t h = kFnvBasis;
+  engine.set_observer([&](VertexId s, VertexId d) {
+    h = fnv_mix(h, (static_cast<std::uint64_t>(s) << 32) | d);
+  });
+  RouteStats stats;
+  RoundBuffer inbox;
+  route_packets_into(engine, packets, inbox, &stats);
+  const Metrics& m = engine.metrics();
+  EXPECT_EQ(stats.rounds, pin.rounds);
+  EXPECT_EQ(stats.color_batches, pin.color_batches);
+  EXPECT_EQ(stats.max_send_load, pin.max_send_load);
+  EXPECT_EQ(stats.max_recv_load, pin.max_recv_load);
+  EXPECT_EQ(m.rounds, pin.engine_rounds);
+  EXPECT_EQ(m.messages, pin.messages);
+  EXPECT_EQ(m.words, pin.words);
+  EXPECT_EQ(m.max_messages_in_round, pin.max_messages_in_round);
+  EXPECT_EQ(h, pin.relay_digest);
+}
+
+TEST(RoutingGolden, Uniform) {
+  expect_route_pin(64, 1, 6000, {}, 51,
+                   {6, 2, 111, 120, 6, 11804, 23600, 4048,
+                    1911567646807003174ULL});
+}
+
+TEST(RoutingGolden, HotGuardians) {
+  // Load far above n on three guardians: many first-fit waves.
+  expect_route_pin(128, 1, 20000, {3, 64, 127}, 52,
+                   {94, 46, 187, 5836, 94, 39644, 79258, 2856,
+                    8901003477503688953ULL});
+}
+
+TEST(RoutingGolden, WideLinks) {
+  expect_route_pin(32, 4, 5000, {0, 17}, 53,
+                   {36, 17, 174, 2149, 36, 9706, 19421, 827,
+                    13798545821100346553ULL});
 }
 
 class SortSizes : public ::testing::TestWithParam<std::size_t> {};

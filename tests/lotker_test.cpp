@@ -159,5 +159,132 @@ TEST(Lotker, EveryNodeKnowsTheTree) {
     EXPECT_EQ(g.edge_weight(e.u, e.v), std::optional<Weight>{e.w});
 }
 
+// Golden pins for CC-MST phases. After phases 1 and 3, each case records
+// the tree (count plus an order-sensitive FNV-1a digest of (u, v, w)), a
+// digest of cluster_of, the engine Metrics and a digest of the observer's
+// (src, dst) sequence. Inputs: a GC-shaped unit-weight graph (ties broken
+// by endpoints, most pairs infinite) and a distinct-weight sparse graph.
+// A rewrite of run_phase's R1 table or R2/R3 selection must keep these.
+struct PhasePin {
+  std::size_t tree_edges;
+  std::uint64_t tree_digest;
+  std::uint64_t cluster_digest;
+  std::uint64_t rounds;
+  std::uint64_t messages;
+  std::uint64_t words;
+  std::uint64_t max_messages_in_round;
+  std::uint64_t observed_digest;
+};
+
+std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t word) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (word >> (8 * b)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+void expect_phase_pin(const LotkerState& state, const Metrics& m,
+                      std::uint64_t observed, const PhasePin& pin) {
+  std::uint64_t tree = 0xcbf29ce484222325ULL;
+  for (const auto& e : state.tree_edges)
+    tree = fnv_mix(fnv_mix(fnv_mix(tree, e.u), e.v), e.w);
+  std::uint64_t clusters = 0xcbf29ce484222325ULL;
+  for (VertexId c : state.cluster_of) clusters = fnv_mix(clusters, c);
+  EXPECT_EQ(state.tree_edges.size(), pin.tree_edges);
+  EXPECT_EQ(tree, pin.tree_digest);
+  EXPECT_EQ(clusters, pin.cluster_digest);
+  EXPECT_EQ(m.rounds, pin.rounds);
+  EXPECT_EQ(m.messages, pin.messages);
+  EXPECT_EQ(m.words, pin.words);
+  EXPECT_EQ(m.max_messages_in_round, pin.max_messages_in_round);
+  EXPECT_EQ(observed, pin.observed_digest);
+}
+
+TEST(LotkerGolden, PhasesOneAndThree) {
+  // In loop order: n, input, link width, then after phase 1 / phase 3.
+  const PhasePin pins[] = {
+      {53, 12365577859094167385ULL, 15600168671982107865ULL, 4,
+       3455, 10428, 3339, 9337835798423586740ULL},
+      {63, 7162709656997401444ULL, 9052592289448545061ULL, 14,
+       4832, 14592, 3339, 13556990795070591640ULL},
+      {59, 5969574952808626065ULL, 9703614768562726692ULL, 4,
+       4028, 12336, 3717, 18334881202603889445ULL},
+      {63, 13688423833001601412ULL, 9052592289448545061ULL, 9,
+       4556, 13936, 3717, 3185326694966781024ULL},
+      {63, 17490034940756800612ULL, 9052592289448545061ULL, 4,
+       8001, 27972, 3969, 16451061935765017285ULL},
+      {63, 17490034940756800612ULL, 9052592289448545061ULL, 4,
+       8001, 27972, 3969, 16451061935765017285ULL},
+      {39, 3201948384723504673ULL, 6032431891418750946ULL, 4,
+       2559, 7740, 2457, 1143321465219448965ULL},
+      {63, 5009645616273284229ULL, 9052592289448545061ULL, 14,
+       5916, 17904, 2457, 885050907599866319ULL},
+      {58, 18045438162189785933ULL, 12189517715973600939ULL, 4,
+       3964, 12144, 3654, 16770863720908799150ULL},
+      {63, 3585844221070779741ULL, 9052592289448545061ULL, 9,
+       4636, 14192, 3654, 17385670839175797965ULL},
+      {63, 4854327851897482961ULL, 9052592289448545061ULL, 4,
+       8001, 27972, 3969, 16451061935765017285ULL},
+      {63, 4854327851897482961ULL, 9052592289448545061ULL, 4,
+       8001, 27972, 3969, 16451061935765017285ULL},
+      {871, 2239023800747144372ULL, 9095606487156581431ULL, 4,
+       892927, 2679804, 891033, 15795385693208993765ULL},
+      {1023, 3819420889075046304ULL, 13389487554061181733ULL, 14,
+       1222502, 3669400, 891033, 6511568226241114400ULL},
+      {932, 6307484334868847745ULL, 7968953996872050129ULL, 4,
+       958460, 2879472, 953436, 42276878050491492ULL},
+      {1023, 11037658709677690820ULL, 13389487554061181733ULL, 14,
+       1149161, 3454884, 953436, 13418258419525297554ULL},
+      {1023, 9551048228250148696ULL, 13389487554061181733ULL, 4,
+       2094081, 7328772, 1046529, 8162760885435529413ULL},
+      {1023, 9551048228250148696ULL, 13389487554061181733ULL, 4,
+       2094081, 7328772, 1046529, 8162760885435529413ULL},
+      {697, 16576994707738702738ULL, 14202059496627754909ULL, 4,
+       714751, 2145276, 713031, 9000043802376369620ULL},
+      {1019, 16867265492591498810ULL, 3094488164932521806ULL, 14,
+       1447737, 4346084, 713031, 2365135338702675206ULL},
+      {924, 10821415953858470046ULL, 1560638796350375472ULL, 4,
+       950268, 2854896, 945252, 11867745331442288108ULL},
+      {1023, 14305839432790149720ULL, 13389487554061181733ULL, 9,
+       1156616, 3477536, 945252, 8322160594286220017ULL},
+      {1023, 9681141489925972784ULL, 13389487554061181733ULL, 4,
+       2094081, 7328772, 1046529, 8162760885435529413ULL},
+      {1023, 9681141489925972784ULL, 13389487554061181733ULL, 4,
+       2094081, 7328772, 1046529, 8162760885435529413ULL},
+  };
+  const PhasePin* pin = pins;
+  for (const std::uint32_t n : {64u, 1024u}) {
+    Rng rng{700 + n};
+    const Graph g = random_connected(n, 2 * n, rng);
+    const CliqueWeights inputs[] = {
+        CliqueWeights::unit_from_graph(g),
+        CliqueWeights::from_graph(
+            random_weights(random_connected(n, 4 * n, rng), 1 << 20, rng))};
+    for (const CliqueWeights& input : inputs) {
+      // Standard links, B = 4 (quota s*B < m - 1 in phase 1) and the
+      // paper's wide links (quota m - 1: one phase finishes).
+      for (const std::uint32_t per_link :
+           {1u, 4u, wide_bandwidth_messages_per_link(n)}) {
+        CliqueEngine engine{{.n = n, .messages_per_link = per_link}};
+        std::uint64_t observed = 0xcbf29ce484222325ULL;
+        engine.set_observer([&](VertexId s, VertexId d) {
+          observed =
+              fnv_mix(observed, (static_cast<std::uint64_t>(s) << 32) | d);
+        });
+        LotkerState state = cc_mst_initial_state(n);
+        for (std::uint32_t phase = 1; phase <= 3; ++phase) {
+          cc_mst_step(engine, input, state);
+          if (phase == 2) continue;
+          SCOPED_TRACE(testing::Message() << "n=" << n << " per_link="
+                                          << per_link << " phase=" << phase);
+          expect_phase_pin(state, engine.metrics(), observed, *pin++);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(pin, std::end(pins));
+}
+
 }  // namespace
 }  // namespace ccq
