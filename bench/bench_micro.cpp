@@ -243,28 +243,48 @@ void BM_UnionFind(benchmark::State& state) {
 }
 BENCHMARK(BM_UnionFind)->Arg(1 << 10)->Arg(1 << 14);
 
+// Sender/receiver pairs on an n-node clique for the routing benchmarks.
+// With hot > 0, 7/8 of the pairs land on receivers 0..hot-1: the SQ-MST
+// guardian shape, whose receivers carry load far above n.
+std::vector<std::pair<std::uint32_t, std::uint32_t>> routing_pairs(
+    std::int64_t count, std::uint32_t n, std::uint32_t hot, Rng& rng) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  for (std::int64_t i = 0; i < count; ++i) {
+    const auto src = static_cast<std::uint32_t>(rng.next_below(n));
+    const auto dst = static_cast<std::uint32_t>(
+        hot > 0 && rng.next_below(8) != 0 ? rng.next_below(hot)
+                                          : rng.next_below(n));
+    pairs.emplace_back(src, dst);
+  }
+  return pairs;
+}
+
+// Args: {edges, n, hot receivers}.
 void BM_EdgeColoring(benchmark::State& state) {
   Rng rng{7};
-  const std::uint32_t n = 64;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-  for (int i = 0; i < state.range(0); ++i)
-    edges.emplace_back(rng.next_below(n), rng.next_below(n));
+  const auto n = static_cast<std::uint32_t>(state.range(1));
+  const auto edges = routing_pairs(
+      state.range(0), n, static_cast<std::uint32_t>(state.range(2)), rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(bipartite_edge_coloring(edges, n, n));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_EdgeColoring)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_EdgeColoring)
+    ->Args({1000, 64, 0})
+    ->Args({10000, 64, 0})
+    ->Args({100000, 512, 4});
 
+// Args: {packets, n, hot receivers}.
 void BM_RoutePackets(benchmark::State& state) {
-  const std::uint32_t n = 64;
-  std::vector<Packet> packets;
   Rng rng{9};
-  for (int i = 0; i < state.range(0); ++i)
-    packets.push_back({static_cast<VertexId>(rng.next_below(n)),
-                       static_cast<VertexId>(rng.next_below(n)),
-                       msg1(0, static_cast<std::uint64_t>(i))});
+  const auto n = static_cast<std::uint32_t>(state.range(1));
+  std::vector<Packet> packets;
+  for (const auto& [src, dst] : routing_pairs(
+           state.range(0), n, static_cast<std::uint32_t>(state.range(2)),
+           rng))
+    packets.push_back({src, dst, msg1(0, packets.size())});
   for (auto _ : state) {
     CliqueEngine engine{{.n = n}};
     RoundBuffer inbox;
@@ -274,7 +294,10 @@ void BM_RoutePackets(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_RoutePackets)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_RoutePackets)
+    ->Args({1000, 64, 0})
+    ->Args({10000, 64, 0})
+    ->Args({100000, 512, 4});
 
 void BM_DistributedSort(benchmark::State& state) {
   const std::uint32_t n = 32;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
-#include <unordered_map>
+#include <span>
 
 #include "clique/load_profile.hpp"
 #include "clique/trace.hpp"
@@ -13,125 +13,186 @@ namespace ccq {
 
 namespace {
 
-/// One Euler-halving level. The subset's odd-degree vertices are first
-/// paired up with *dummy* edges (odd-left with odd-right; any leftover —
-/// both sides have the same parity of odd counts in a bipartite multigraph
-/// — pairs with a per-side dummy vertex), making every degree even. Euler
-/// circuits of an all-even multigraph close, so alternating edges along
-/// each circuit splits every vertex's (real+dummy) degree exactly in half;
-/// discarding the dummies leaves real degrees split as floor/ceil of d/2.
-/// Hence max degree drops to ceil(Δ/2) per level with only O(#odd) dummy
-/// work — linear overall, no regularization padding.
-void euler_halve(const std::vector<std::pair<std::uint32_t, std::uint32_t>>&
-                     edges,
-                 const std::vector<std::size_t>& subset,
-                 std::uint32_t left_size, std::uint32_t num_vertices,
-                 std::vector<std::size_t>& part_a,
-                 std::vector<std::size_t>& part_b) {
-  // Working edge list: real subset entries first, then dummies. Entries are
-  // (u, v, subset_index or SIZE_MAX for dummy).
-  constexpr std::size_t kDummy = static_cast<std::size_t>(-1);
-  const std::uint32_t dummy_left = num_vertices;
-  const std::uint32_t dummy_right = num_vertices + 1;
-  struct WorkEdge {
-    std::uint32_t u;
-    std::uint32_t v;
-    std::size_t real;
-  };
-  std::vector<WorkEdge> work;
-  work.reserve(subset.size() + 8);
-  std::unordered_map<std::uint32_t, std::size_t> degree;
-  for (std::size_t idx : subset) {
-    work.push_back({edges[idx].first, edges[idx].second, idx});
-    ++degree[edges[idx].first];
-    ++degree[edges[idx].second];
-  }
-  std::vector<std::uint32_t> odd_left;
-  std::vector<std::uint32_t> odd_right;
-  // Walk endpoints in sorted order, not hash order: the odd-left/odd-right
-  // pairing below decides which dummy edges exist, and that choice must not
-  // depend on unordered_map iteration for replay to stay bit-identical.
-  std::vector<std::uint32_t> endpoints;
-  endpoints.reserve(work.size() * 2);
-  for (const WorkEdge& e : work) {
-    endpoints.push_back(e.u);
-    endpoints.push_back(e.v);
-  }
-  std::sort(endpoints.begin(), endpoints.end());
-  endpoints.erase(std::unique(endpoints.begin(), endpoints.end()),
-                  endpoints.end());
-  for (std::uint32_t v : endpoints)
-    if (degree[v] % 2 == 1) (v < left_size ? odd_left : odd_right).push_back(v);
-  std::size_t i = 0;
-  for (; i < odd_left.size() && i < odd_right.size(); ++i)
-    work.push_back({odd_left[i], odd_right[i], kDummy});
-  for (std::size_t j = i; j < odd_left.size(); ++j)
-    work.push_back({odd_left[j], dummy_right, kDummy});
-  for (std::size_t j = i; j < odd_right.size(); ++j)
-    work.push_back({dummy_left, odd_right[j], kDummy});
-  // (dummy_left/right themselves end with even degree: the leftover counts
-  // are even because the two sides' odd counts share parity.)
+/// Per-call scratch of bipartite_edge_coloring, reused by every
+/// Euler-halving level. Per-vertex slots cover left + right vertices plus
+/// the two dummies and are valid only where `stamp` equals the level's
+/// `generation`, so a level costs O(subset), not O(#vertices).
+class EulerHalver {
+ public:
+  EulerHalver(const std::vector<std::pair<std::uint32_t, std::uint32_t>>&
+                  edges,
+              std::uint32_t left_size, std::uint32_t right_size)
+      : edges_(edges),
+        left_size_(left_size),
+        dummy_left_(left_size + right_size),
+        dummy_right_(left_size + right_size + 1),
+        stamp_(left_size + right_size + 2, 0),
+        degree_(stamp_.size(), 0),
+        local_(stamp_.size(), 0) {}
 
-  // Incidence lists over compacted local ids.
-  std::unordered_map<std::uint32_t, std::uint32_t> local;
-  local.reserve(degree.size() + 2);
-  auto local_id = [&](std::uint32_t v) {
-    return local.emplace(v, static_cast<std::uint32_t>(local.size()))
-        .first->second;
-  };
-  std::vector<std::vector<std::size_t>> incident;
-  for (std::size_t w = 0; w < work.size(); ++w) {
-    const auto lu = local_id(work[w].u);
-    const auto lv = local_id(work[w].v);
-    if (std::max(lu, lv) >= incident.size())
-      incident.resize(std::max(lu, lv) + 1);
-    incident[lu].push_back(w);
-    incident[lv].push_back(w);
-  }
-  std::vector<bool> used(work.size(), false);
-  std::vector<std::size_t> ptr(incident.size(), 0);
-  auto next_unused = [&](std::uint32_t lv) -> std::size_t {
-    auto& list = incident[lv];
-    while (ptr[lv] < list.size() && used[list[ptr[lv]]]) ++ptr[lv];
-    return ptr[lv] < list.size() ? list[ptr[lv]] : kDummy;
-  };
-  for (std::uint32_t start = 0; start < incident.size(); ++start) {
-    while (next_unused(start) != kDummy) {
-      // All degrees even: the trail from `start` closes into a circuit, and
-      // circuits in bipartite graphs have even length, so strict
-      // alternation splits every visit pair across the two parts.
-      int parity = 0;
-      std::uint32_t at = start;
-      for (;;) {
-        const std::size_t w = next_unused(at);
-        if (w == kDummy) break;
-        used[w] = true;
-        if (work[w].real != kDummy)
-          (parity == 0 ? part_a : part_b).push_back(work[w].real);
-        parity ^= 1;
-        const auto lu = local.at(work[w].u);
-        const auto lv = local.at(work[w].v);
-        at = lu == at ? lv : lu;
+  /// One Euler-halving level over `subset` (edge indices), rewritten in
+  /// place as part_a followed by part_b; returns |part_a|. The subset's
+  /// odd-degree vertices are first paired up with *dummy* edges (odd-left
+  /// with odd-right; any leftover — both sides have the same parity of odd
+  /// counts in a bipartite multigraph — pairs with a per-side dummy
+  /// vertex), making every degree even. Euler circuits of an all-even
+  /// multigraph close, so alternating edges along each circuit splits every
+  /// vertex's (real+dummy) degree exactly in half; discarding the dummies
+  /// leaves real degrees split as floor/ceil of d/2. Hence max degree drops
+  /// to ceil(Δ/2) per level with only O(#odd) dummy work — linear overall,
+  /// no regularization padding.
+  std::size_t halve(std::span<std::uint32_t> subset) {
+    ++generation_;
+    // Working edge list: real subset entries in subset order, then dummies.
+    work_.clear();
+    touched_.clear();
+    for (std::uint32_t idx : subset) {
+      const std::uint32_t u = edges_[idx].first;
+      const std::uint32_t v = left_size_ + edges_[idx].second;
+      work_.push_back({u, v, idx});
+      ++degree_[touch(u)];
+      ++degree_[touch(v)];
+    }
+    // Dummy pairing follows the sorted odd endpoints (left ids sort before
+    // the offset right ids), never first-touch order, so the dummy set is a
+    // function of the subset's edge multiset.
+    odd_.clear();
+    for (std::uint32_t v : touched_)
+      if (degree_[v] % 2 == 1) odd_.push_back(v);
+    std::sort(odd_.begin(), odd_.end());
+    const auto split = static_cast<std::size_t>(
+        std::lower_bound(odd_.begin(), odd_.end(), left_size_) -
+        odd_.begin());
+    const std::size_t odd_right = odd_.size() - split;
+    const std::size_t pairs = std::min(split, odd_right);
+    for (std::size_t i = 0; i < pairs; ++i)
+      work_.push_back({odd_[i], odd_[split + i], kDummy});
+    for (std::size_t i = pairs; i < split; ++i)
+      work_.push_back({odd_[i], touch(dummy_right_), kDummy});
+    for (std::size_t i = pairs; i < odd_right; ++i)
+      work_.push_back({touch(dummy_left_), odd_[split + i], kDummy});
+    // (dummy_left/right themselves end with even degree: the leftover counts
+    // are even because the two sides' odd counts share parity.)
+
+    // CSR incidence over local ids numbered by first appearance in work
+    // order; each list holds its work edges in ascending order (u's entry
+    // then v's, edge by edge), the order the circuit walk consumes them.
+    std::uint32_t num_local = 0;
+    offsets_.assign(1, 0);
+    for (WorkEdge& e : work_) {
+      for (std::uint32_t* end : {&e.u, &e.v}) {
+        std::uint32_t& id = local_[touch(*end)];
+        if (id == kNone) {
+          id = num_local++;
+          offsets_.push_back(0);
+        }
+        ++offsets_[id + 1];
+        *end = id;
       }
     }
+    for (std::uint32_t lv = 0; lv < num_local; ++lv)
+      offsets_[lv + 1] += offsets_[lv];
+    incident_.resize(2 * work_.size());
+    next_.assign(offsets_.begin(), offsets_.end() - 1);
+    for (std::uint32_t w = 0; w < work_.size(); ++w) {
+      incident_[next_[work_[w].u]++] = w;
+      incident_[next_[work_[w].v]++] = w;
+    }
+    used_.assign(work_.size(), 0);
+    next_.assign(offsets_.begin(), offsets_.end() - 1);
+    auto next_unused = [&](std::uint32_t lv) -> std::uint32_t {
+      std::uint32_t& ptr = next_[lv];
+      while (ptr < offsets_[lv + 1] && used_[incident_[ptr]]) ++ptr;
+      return ptr < offsets_[lv + 1] ? incident_[ptr] : kNone;
+    };
+    std::size_t size_a = 0;
+    part_b_.clear();
+    for (std::uint32_t start = 0; start < num_local; ++start) {
+      while (next_unused(start) != kNone) {
+        // All degrees even: the trail from `start` closes into a circuit,
+        // and circuits in bipartite graphs have even length, so strict
+        // alternation splits every visit pair across the two parts.
+        int parity = 0;
+        std::uint32_t at = start;
+        for (;;) {
+          const std::uint32_t w = next_unused(at);
+          if (w == kNone) break;
+          used_[w] = 1;
+          if (work_[w].real != kDummy) {
+            // `subset` was copied into work_, so part_a may overwrite it.
+            if (parity == 0)
+              subset[size_a++] = work_[w].real;
+            else
+              part_b_.push_back(work_[w].real);
+          }
+          parity ^= 1;
+          at = work_[w].u == at ? work_[w].v : work_[w].u;
+        }
+      }
+    }
+    check(size_a + part_b_.size() == subset.size(),
+          "bipartite_edge_coloring: euler split lost edges");
+    std::copy(part_b_.begin(), part_b_.end(), subset.begin() + size_a);
+    return size_a;
   }
-}
+
+ private:
+  static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+  static constexpr std::uint32_t kDummy = kNone;
+
+  struct WorkEdge {
+    std::uint32_t u;  // vertex id; local id once the CSR is built
+    std::uint32_t v;
+    std::uint32_t real;  // edge index, or kDummy
+  };
+
+  /// Opens v's per-vertex slots for this level; returns v.
+  std::uint32_t touch(std::uint32_t v) {
+    if (stamp_[v] != generation_) {
+      stamp_[v] = generation_;
+      degree_[v] = 0;
+      local_[v] = kNone;
+      touched_.push_back(v);
+    }
+    return v;
+  }
+
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges_;
+  const std::uint32_t left_size_;
+  const std::uint32_t dummy_left_;
+  const std::uint32_t dummy_right_;
+  std::uint32_t generation_ = 0;
+  std::vector<std::uint32_t> stamp_;
+  std::vector<std::uint32_t> degree_;
+  std::vector<std::uint32_t> local_;
+  std::vector<std::uint32_t> touched_;
+  std::vector<std::uint32_t> odd_;
+  std::vector<WorkEdge> work_;
+  std::vector<std::uint32_t> offsets_;
+  std::vector<std::uint32_t> next_;
+  std::vector<std::uint32_t> incident_;
+  std::vector<std::uint8_t> used_;
+  std::vector<std::uint32_t> part_b_;
+};
 
 }  // namespace
 
 std::vector<std::uint32_t> bipartite_edge_coloring(
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& raw_edges,
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
     std::uint32_t left_size, std::uint32_t right_size) {
-  if (raw_edges.empty()) return {};
+  if (edges.empty()) return {};
   // Recursive Euler halving with per-level even-degree padding: max degree
   // drops from Δ to ceil(Δ/2) per level, so after ceil(log2 Δ) levels every
   // leaf subset is a matching and gets one color — at most bit_ceil(Δ) <
   // 2Δ colors, each a proper matching, in O(m log Δ) work.
+  check(edges.size() < (std::size_t{1} << 31) &&
+            std::uint64_t{left_size} + right_size + 2 <= UINT32_MAX,
+        "bipartite_edge_coloring: multigraph too large");
   std::size_t delta = 1;
   {
     std::vector<std::size_t> degl(left_size, 0);
     std::vector<std::size_t> degr(right_size, 0);
-    for (const auto& [u, d] : raw_edges) {
+    for (const auto& [u, d] : edges) {
       check(u < left_size && d < right_size,
             "bipartite_edge_coloring: endpoint out of range");
       delta = std::max(delta, ++degl[u]);
@@ -139,36 +200,31 @@ std::vector<std::uint32_t> bipartite_edge_coloring(
     }
   }
   const auto target = static_cast<std::uint32_t>(std::bit_ceil(delta));
-  const std::uint32_t num_vertices = left_size + right_size;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-  edges.reserve(raw_edges.size());
-  for (const auto& [u, d] : raw_edges)
-    edges.emplace_back(u, left_size + d);  // right side offset by left_size
   std::vector<std::uint32_t> color(edges.size(), 0);
-  std::vector<std::size_t> all(edges.size());
-  std::iota(all.begin(), all.end(), 0);
-  // stack entries: (edge subset, color offset, color budget of subset)
-  std::vector<std::tuple<std::vector<std::size_t>, std::uint32_t,
-                         std::uint32_t>>
-      stack;
-  stack.emplace_back(std::move(all), 0u, target);
+  // Every subset is a contiguous range of `order`; halving rewrites its
+  // range as part_a then part_b.
+  std::vector<std::uint32_t> order(edges.size());
+  std::iota(order.begin(), order.end(), 0u);
+  struct Range {
+    std::size_t begin;
+    std::size_t end;
+    std::uint32_t offset;  // first color of the range's budget
+    std::uint32_t budget;
+  };
+  std::vector<Range> stack{{0, edges.size(), 0, target}};
+  EulerHalver halver{edges, left_size, right_size};
   while (!stack.empty()) {
-    auto [subset, offset, budget] = std::move(stack.back());
+    const Range r = stack.back();
     stack.pop_back();
-    if (subset.empty()) continue;
-    if (budget <= 1) {
-      for (std::size_t idx : subset) color[idx] = offset;
+    if (r.begin == r.end) continue;
+    if (r.budget <= 1) {
+      for (std::size_t i = r.begin; i < r.end; ++i) color[order[i]] = r.offset;
       continue;
     }
-    std::vector<std::size_t> part_a;
-    std::vector<std::size_t> part_b;
-    part_a.reserve(subset.size() / 2 + 1);
-    part_b.reserve(subset.size() / 2 + 1);
-    euler_halve(edges, subset, left_size, num_vertices, part_a, part_b);
-    check(part_a.size() + part_b.size() == subset.size(),
-          "bipartite_edge_coloring: euler split lost edges");
-    stack.emplace_back(std::move(part_a), offset, budget / 2);
-    stack.emplace_back(std::move(part_b), offset + budget / 2, budget / 2);
+    const std::size_t mid =
+        r.begin + halver.halve({order.data() + r.begin, r.end - r.begin});
+    stack.push_back({r.begin, mid, r.offset, r.budget / 2});
+    stack.push_back({mid, r.end, r.offset + r.budget / 2, r.budget / 2});
   }
   return color;
 }
@@ -206,60 +262,66 @@ void route_packets_into(CliqueEngine& engine,
   local.max_send_load = *std::max_element(send_load.begin(), send_load.end());
   local.max_recv_load = *std::max_element(recv_load.begin(), recv_load.end());
   if (!edges.empty()) {
-    // Overload pre-pass: the regularized coloring pads the multigraph to
-    // (#vertices) * bit_ceil(max degree) edges, which is wasteful when a
-    // few nodes carry load far above n (e.g. a coordinator absorbing
-    // n*polylog sketches). First-fit the packets into waves of per-vertex
-    // degree <= n — at most ceil(2L/n)+1 waves for max load L — and color
-    // each wave independently; total rounds stay O(1 + L/n) and the
-    // padding stays linear in the packet count.
+    // Overload pre-pass: when a few nodes carry load far above n (e.g. a
+    // coordinator absorbing n*polylog sketches), one coloring of the whole
+    // multigraph would need bit_ceil(L) colors for max load L. First-fit
+    // the packets into waves of per-vertex degree <= n — at most
+    // ceil(2L/n)+1 waves — and color each wave independently; total rounds
+    // stay O(1 + L/n).
+    //
+    // First-fit places a packet of s at wave <= (#waves full for s) +
+    // (#waves full for d), and a full wave holds n of a vertex's packets,
+    // so every wave index is below `width`; send_use/recv_use are flat
+    // n x width tables (n * width <= n + 2 * #packets) of per-wave degrees.
+    // Per-vertex full waves only grow, so scanning starts at the larger of
+    // the two endpoints' first-free hints.
+    const std::uint64_t width =
+        local.max_send_load / n + local.max_recv_load / n + 1;
     std::vector<std::uint32_t> wave_of(edges.size(), 0);
     std::uint32_t num_waves = 1;
     {
-      // send_use[v][w] counts v's packets in wave w (and recv_use likewise);
-      // first-fit over waves keeps both below n. Per-vertex full waves only
-      // grow, so scanning can start at the larger of the two endpoints'
-      // first-free hints.
-      std::vector<std::vector<std::uint32_t>> send_use(n);
-      std::vector<std::vector<std::uint32_t>> recv_use(n);
+      std::vector<std::uint32_t> send_use(n * width, 0);
+      std::vector<std::uint32_t> recv_use(n * width, 0);
       std::vector<std::uint32_t> send_hint(n, 0);
       std::vector<std::uint32_t> recv_hint(n, 0);
       for (std::size_t e = 0; e < edges.size(); ++e) {
-        const std::uint32_t s = edges[e].first;
-        const std::uint32_t d = edges[e].second;
-        std::uint32_t w = std::max(send_hint[s], recv_hint[d]);
-        for (;; ++w) {
-          if (send_use[s].size() <= w) send_use[s].resize(w + 1, 0);
-          if (recv_use[d].size() <= w) recv_use[d].resize(w + 1, 0);
-          if (send_use[s][w] < n && recv_use[d][w] < n) break;
-        }
-        ++send_use[s][w];
-        ++recv_use[d][w];
-        while (send_hint[s] < send_use[s].size() &&
-               send_use[s][send_hint[s]] >= n)
-          ++send_hint[s];
-        while (recv_hint[d] < recv_use[d].size() &&
-               recv_use[d][recv_hint[d]] >= n)
-          ++recv_hint[d];
+        std::uint32_t* send = &send_use[edges[e].first * width];
+        std::uint32_t* recv = &recv_use[edges[e].second * width];
+        std::uint32_t& s_hint = send_hint[edges[e].first];
+        std::uint32_t& r_hint = recv_hint[edges[e].second];
+        std::uint32_t w = std::max(s_hint, r_hint);
+        while (send[w] >= n || recv[w] >= n) ++w;
+        ++send[w];
+        ++recv[w];
+        while (s_hint < width && send[s_hint] >= n) ++s_hint;
+        while (r_hint < width && recv[r_hint] >= n) ++r_hint;
         wave_of[e] = w;
         num_waves = std::max(num_waves, w + 1);
       }
     }
-    // Color each wave; give wave w a disjoint color block.
+    // Bucket the edges by wave in one pass, edge order kept within a wave,
+    // and give wave w a disjoint color block.
+    std::vector<std::size_t> wave_start(num_waves + 1, 0);
+    for (std::uint32_t w : wave_of) ++wave_start[w + 1];
+    for (std::uint32_t w = 0; w < num_waves; ++w)
+      wave_start[w + 1] += wave_start[w];
+    std::vector<std::size_t> by_wave(edges.size());
+    {
+      std::vector<std::size_t> next(wave_start.begin(), wave_start.end() - 1);
+      for (std::size_t e = 0; e < edges.size(); ++e)
+        by_wave[next[wave_of[e]]++] = e;
+    }
     std::vector<std::uint32_t> color(edges.size(), 0);
     std::uint32_t color_base = 0;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> wave_edges;
     for (std::uint32_t w = 0; w < num_waves; ++w) {
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> wave_edges;
-      std::vector<std::size_t> wave_index;
-      for (std::size_t e = 0; e < edges.size(); ++e)
-        if (wave_of[e] == w) {
-          wave_edges.push_back(edges[e]);
-          wave_index.push_back(e);
-        }
+      wave_edges.clear();
+      for (std::size_t i = wave_start[w]; i < wave_start[w + 1]; ++i)
+        wave_edges.push_back(edges[by_wave[i]]);
       const auto wave_color = bipartite_edge_coloring(wave_edges, n, n);
       std::uint32_t used = 0;
       for (std::size_t i = 0; i < wave_edges.size(); ++i) {
-        color[wave_index[i]] = color_base + wave_color[i];
+        color[by_wave[wave_start[w] + i]] = color_base + wave_color[i];
         used = std::max(used, wave_color[i] + 1);
       }
       color_base += used;

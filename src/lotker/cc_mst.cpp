@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
-#include <unordered_map>
 
 #include "clique/trace.hpp"
 #include "comm/primitives.hpp"
@@ -79,11 +77,15 @@ std::uint32_t LotkerState::num_clusters() const {
 }
 
 std::uint32_t LotkerState::min_cluster_size() const {
-  std::unordered_map<VertexId, std::uint32_t> size;
-  for (VertexId label : cluster_of) ++size[label];
+  std::vector<std::uint32_t> size(cluster_of.size(), 0);
+  for (VertexId label : cluster_of) {
+    check(label < size.size(), "LotkerState: cluster label out of range");
+    ++size[label];
+  }
   std::uint32_t best = std::numeric_limits<std::uint32_t>::max();
-  for (const auto& [label, s] : size) best = std::min(best, s);
-  return size.empty() ? 0 : best;
+  for (std::uint32_t s : size)
+    if (s > 0) best = std::min(best, s);
+  return cluster_of.empty() ? 0 : best;
 }
 
 namespace {
@@ -104,39 +106,57 @@ struct Phase {
 Phase run_phase(CliqueEngine& engine, const CliqueWeights& w,
                 std::vector<VertexId>& cluster_of) {
   const std::uint32_t n = w.n();
-  // Cluster roster (known to every node).
-  std::map<VertexId, std::vector<VertexId>> members;  // leader -> members
-  for (VertexId v = 0; v < n; ++v) members[cluster_of[v]].push_back(v);
-  const std::size_t m = members.size();
+  // Cluster roster (known to every node): leaders ascending, pos_of[leader]
+  // the leader's position, members[pos] the cluster's nodes ascending.
+  constexpr auto kNotLeader = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> pos_of(n, kNotLeader);
+  for (VertexId v = 0; v < n; ++v) {
+    check(cluster_of[v] < n, "cc_mst: cluster label out of range");
+    pos_of[cluster_of[v]] = 0;
+  }
+  std::vector<VertexId> leaders;
+  for (VertexId v = 0; v < n; ++v)
+    if (pos_of[v] != kNotLeader) {
+      pos_of[v] = static_cast<std::uint32_t>(leaders.size());
+      leaders.push_back(v);
+    }
+  const std::size_t m = leaders.size();
+  std::vector<std::vector<VertexId>> members(m);
+  for (VertexId v = 0; v < n; ++v) members[pos_of[cluster_of[v]]].push_back(v);
   Phase phase;
   if (m <= 1) return phase;
   std::size_t s = std::numeric_limits<std::size_t>::max();
-  for (const auto& [leader, list] : members) s = std::min(s, list.size());
+  for (const auto& list : members) s = std::min(s, list.size());
 
   // --- R1: per-node lightest edge into every other cluster -> that
   // cluster's leader. Leaders aggregate the lightest inter-cluster edges.
-  // best[leader] maps other-leader -> lightest edge between the clusters.
-  std::unordered_map<VertexId, std::unordered_map<VertexId, WeightedEdge>>
-      best;
+  // best[p * m + q] is the lightest edge between clusters p and q
+  // (positions). Edge keys do not depend on endpoint order, so row p, filled
+  // here contiguously by p's own members, equals what leader p aggregates
+  // from the reports of q's members. Only the diagonal keeps the
+  // unreported sentinel, whose key exceeds every real edge's.
+  WeightedEdge unreported;
+  unreported.u = unreported.v = std::numeric_limits<VertexId>::max();
+  unreported.w = kInfiniteWeight;
+  std::vector<WeightedEdge> best(m * m, unreported);
   std::uint64_t r1_messages = 0;
   {
     TraceScope r1{engine, "r1-lightest-exchange"};
     for (VertexId u = 0; u < n; ++u) {
-      const VertexId cu = cluster_of[u];
-      for (const auto& [leader, list] : members) {
-        if (leader == cu) continue;
-        // Lightest edge from u into cluster `leader` (clique: always exists,
+      const std::uint32_t cu = pos_of[cluster_of[u]];
+      for (std::size_t q = 0; q < m; ++q) {
+        if (q == cu) continue;
+        // Lightest edge from u into cluster q (clique: always exists,
         // possibly infinite).
+        const auto& list = members[q];
         WeightedEdge lightest = w.edge(u, list.front());
         for (std::size_t i = 1; i < list.size(); ++i) {
           const WeightedEdge cand = w.edge(u, list[i]);
           if (lighter(cand, lightest)) lightest = cand;
         }
-        if (u != leader) ++r1_messages;  // message u -> leader (3 words)
-        auto& row = best[leader];
-        const auto it = row.find(cu);
-        if (it == row.end() || lighter(lightest, it->second))
-          row.insert_or_assign(cu, lightest);
+        if (u != leaders[q]) ++r1_messages;  // message u -> leader (3 words)
+        WeightedEdge& cell = best[cu * m + q];
+        if (lighter(lightest, cell)) cell = lightest;
       }
     }
     const bool all_singletons = (s == 1 && m == n);
@@ -146,12 +166,12 @@ Phase run_phase(CliqueEngine& engine, const CliqueWeights& w,
       engine.charge_verified_round(r1_messages, r1_messages * 3);
       if (engine.has_observer())
         for (VertexId u = 0; u < n; ++u)
-          for (const auto& [leader, list] : members)
+          for (VertexId leader : leaders)
             if (leader != cluster_of[u] && leader != u)
               engine.observe(u, leader);
       if (engine.wants_load())
         for (VertexId u = 0; u < n; ++u)
-          for (const auto& [leader, list] : members)
+          for (VertexId leader : leaders)
             if (leader != cluster_of[u] && leader != u)
               engine.attribute_load(u, leader, 1, 3);
     }
@@ -170,34 +190,36 @@ Phase run_phase(CliqueEngine& engine, const CliqueWeights& w,
   const std::size_t bandwidth = engine.messages_per_link();
   const std::size_t quota = std::min<std::size_t>(s * bandwidth, m - 1);
   struct Candidate {
-    VertexId from_cluster;
-    VertexId to_cluster;
+    std::uint32_t from;  // cluster positions
+    std::uint32_t to;
     WeightedEdge e;
   };
   std::vector<Candidate> candidates;
   std::uint64_t relay_hops = 0;
   {
     TraceScope relay{engine, "r2r3-candidate-relay"};
-    // Iterate leaders through the ordered `members` map: the candidate list
-    // built here decides relay assignment and the coordinator's merge order,
-    // so it must not follow `best`'s hash order.
-    for (const auto& [leader, list] : members) {
-      const auto bit = best.find(leader);
-      if (bit == best.end()) continue;
-      const auto& row = bit->second;
-      std::vector<std::pair<VertexId, WeightedEdge>> outgoing(row.begin(),
-                                                              row.end());
-      std::sort(outgoing.begin(), outgoing.end(),
-                [](const auto& a, const auto& b) {
-                  return lighter(a.second, b.second);
-                });
+    // Leaders go in roster order: the candidate list built here decides
+    // relay assignment and the coordinator's merge order. A row's edges
+    // join distinct cluster pairs, so their keys are distinct and the
+    // lightest `quota` of them do not depend on the order they are listed.
+    std::vector<std::pair<std::uint32_t, WeightedEdge>> outgoing;
+    outgoing.reserve(m - 1);
+    for (std::uint32_t p = 0; p < m; ++p) {
+      outgoing.clear();
+      for (std::uint32_t q = 0; q < m; ++q)
+        if (q != p) outgoing.emplace_back(q, best[p * m + q]);
       const std::size_t take = std::min(quota, outgoing.size());
+      std::partial_sort(outgoing.begin(), outgoing.begin() + take,
+                        outgoing.end(), [](const auto& a, const auto& b) {
+                          return lighter(a.second, b.second);
+                        });
+      const VertexId leader = leaders[p];
       for (std::size_t j = 0; j < take; ++j) {
-        candidates.push_back({leader, outgoing[j].first, outgoing[j].second});
+        candidates.push_back({p, outgoing[j].first, outgoing[j].second});
         // Hop 1: leader -> relay member (each member carries up to `bandwidth`
         // candidates; skipped when the leader is that member); hop 2:
         // member -> coordinator (skipped for the coordinator itself).
-        const VertexId member = members.at(leader)[j / bandwidth];
+        const VertexId member = members[p][j / bandwidth];
         if (member != leader) {
           ++relay_hops;
           engine.observe(leader, member);
@@ -224,11 +246,6 @@ Phase run_phase(CliqueEngine& engine, const CliqueWeights& w,
   // --- L: constrained Borůvka at v* over the candidate cluster graph.
   {
     TraceScope local{engine, "local-boruvka"};
-    std::vector<VertexId> leaders;
-    leaders.reserve(m);
-    for (const auto& [leader, list] : members) leaders.push_back(leader);
-    std::unordered_map<VertexId, std::size_t> pos;
-    for (std::size_t i = 0; i < leaders.size(); ++i) pos[leaders[i]] = i;
     UnionFind uf{m};
     std::vector<std::size_t> clusters_in(m, 1);  // clusters per component
     bool merged = true;
@@ -237,8 +254,8 @@ Phase run_phase(CliqueEngine& engine, const CliqueWeights& w,
       // Lightest outgoing candidate per small component.
       std::vector<std::optional<Candidate>> pick(m);
       for (const auto& c : candidates) {
-        const std::size_t a = uf.find(pos.at(c.from_cluster));
-        const std::size_t b = uf.find(pos.at(c.to_cluster));
+        const std::size_t a = uf.find(c.from);
+        const std::size_t b = uf.find(c.to);
         if (a == b) continue;
         for (std::size_t side : {a, b}) {
           // Merges stay provably-MST while the component holds at most
@@ -251,8 +268,8 @@ Phase run_phase(CliqueEngine& engine, const CliqueWeights& w,
       for (std::size_t i = 0; i < m; ++i) {
         if (!pick[i] || uf.find(i) != i) continue;
         const Candidate& c = *pick[i];
-        const std::size_t a = uf.find(pos.at(c.from_cluster));
-        const std::size_t b = uf.find(pos.at(c.to_cluster));
+        const std::size_t a = uf.find(c.from);
+        const std::size_t b = uf.find(c.to);
         if (a == b) continue;
         const std::size_t total = clusters_in[a] + clusters_in[b];
         uf.unite(a, b);

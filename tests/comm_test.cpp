@@ -85,8 +85,7 @@ TEST(Coloring, ProperOnRandomMultigraphs) {
     for (const auto& [v, d] : degl) delta = std::max(delta, d);
     for (const auto& [v, d] : degr) delta = std::max(delta, d);
     if (!edges.empty()) {
-      // The regularized Euler halving uses exactly bit_ceil(delta) < 2*delta
-      // colors.
+      // Euler halving uses at most bit_ceil(delta) < 2*delta colors.
       const std::uint32_t colors =
           1 + *std::max_element(color.begin(), color.end());
       EXPECT_LE(colors, 2 * delta);
