@@ -258,24 +258,15 @@ struct RoutePin {
   std::uint64_t relay_digest;  // observer (src, dst) sequence
 };
 
-/// Routes `count` packets on an n-node clique; a packet goes to one of
-/// `hot` (if nonempty) with probability 7/8, else to a uniform receiver.
 /// Payloads carry 0..3 words so the word accounting is exercised.
-void expect_route_pin(std::uint32_t n, std::uint32_t messages_per_link,
-                      std::size_t count, const std::vector<VertexId>& hot,
-                      std::uint64_t seed, const RoutePin& pin) {
-  Rng rng{seed};
-  std::vector<Packet> packets;
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto src = static_cast<VertexId>(rng.next_below(n));
-    const auto dst =
-        !hot.empty() && rng.next_below(8) != 0
-            ? hot[rng.next_below(hot.size())]
-            : static_cast<VertexId>(rng.next_below(n));
-    const std::uint64_t words[] = {i, i + 1, i + 2};
-    packets.push_back(
-        {src, dst, make_message(0, std::span{words, i % 4})});
-  }
+Packet pin_packet(VertexId src, VertexId dst, std::uint64_t i) {
+  const std::uint64_t words[] = {i, i + 1, i + 2};
+  return {src, dst, make_message(0, std::span{words, i % 4})};
+}
+
+void expect_packets_pin(std::uint32_t n, std::uint32_t messages_per_link,
+                        const std::vector<Packet>& packets,
+                        const RoutePin& pin) {
   CliqueEngine engine{{.n = n, .messages_per_link = messages_per_link}};
   std::uint64_t h = kFnvBasis;
   engine.set_observer([&](VertexId s, VertexId d) {
@@ -296,6 +287,54 @@ void expect_route_pin(std::uint32_t n, std::uint32_t messages_per_link,
   EXPECT_EQ(h, pin.relay_digest);
 }
 
+/// Routes `count` packets on an n-node clique; a packet goes to one of
+/// `hot` (if nonempty) with probability 7/8, else to a uniform receiver.
+void expect_route_pin(std::uint32_t n, std::uint32_t messages_per_link,
+                      std::size_t count, const std::vector<VertexId>& hot,
+                      std::uint64_t seed, const RoutePin& pin) {
+  Rng rng{seed};
+  std::vector<Packet> packets;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto src = static_cast<VertexId>(rng.next_below(n));
+    const auto dst =
+        !hot.empty() && rng.next_below(8) != 0
+            ? hot[rng.next_below(hot.size())]
+            : static_cast<VertexId>(rng.next_below(n));
+    packets.push_back(pin_packet(src, dst, i));
+  }
+  expect_packets_pin(n, messages_per_link, packets, pin);
+}
+
+/// The SQ-MST sketch shape: each of `senders` distinct vertices ships k
+/// consecutive packets to each of 3 distinct guardians among ids
+/// [0, guardians). Senders include guardians 0..5, so runs addressed to
+/// the sender itself are local deliveries mixed into the relayed runs.
+std::vector<Packet> uniform_bundle_packets(std::uint32_t n,
+                                           std::uint32_t senders,
+                                           std::uint32_t guardians,
+                                           std::uint32_t k,
+                                           std::uint64_t seed) {
+  Rng rng{seed};
+  std::vector<VertexId> from{0, 1, 2, 3, 4, 5};
+  while (from.size() < senders) {
+    const auto v = static_cast<VertexId>(rng.next_below(n));
+    if (std::find(from.begin(), from.end(), v) == from.end())
+      from.push_back(v);
+  }
+  std::vector<Packet> packets;
+  for (VertexId src : from) {
+    std::vector<VertexId> to;
+    while (to.size() < 3) {
+      const auto g = static_cast<VertexId>(rng.next_below(guardians));
+      if (std::find(to.begin(), to.end(), g) == to.end()) to.push_back(g);
+    }
+    for (VertexId dst : to)
+      for (std::uint32_t j = 0; j < k; ++j)
+        packets.push_back(pin_packet(src, dst, packets.size()));
+  }
+  return packets;
+}
+
 TEST(RoutingGolden, Uniform) {
   expect_route_pin(64, 1, 6000, {}, 51,
                    {6, 2, 111, 120, 6, 11804, 23600, 4048,
@@ -313,6 +352,28 @@ TEST(RoutingGolden, WideLinks) {
   expect_route_pin(32, 4, 5000, {0, 17}, 53,
                    {36, 17, 174, 2149, 36, 9706, 19421, 827,
                     13798545821100346553ULL});
+}
+
+TEST(RoutingGolden, UniformBundles) {
+  // 40 senders x 3 of 12 guardians x 24 copies: a guardian receives far
+  // more than n = 120 packets, so the route needs several batches.
+  expect_packets_pin(120, 1, uniform_bundle_packets(120, 40, 12, 24, 54),
+                     {10, 4, 72, 408, 10, 5712, 11424, 1325,
+                      5736883147330371221ULL});
+}
+
+TEST(RoutingGolden, UniformBundlesWideLinks) {
+  expect_packets_pin(120, 4, uniform_bundle_packets(120, 40, 12, 24, 54),
+                     {4, 1, 72, 408, 4, 5712, 11424, 2856,
+                      5736883147330371221ULL});
+}
+
+TEST(RoutingGolden, UniformBundlesOddN) {
+  // n = 100 is no power of two: a wave of degree <= n takes up to 128
+  // Euler colours, so per-wave colour blocks overshoot the n-colour batches.
+  expect_packets_pin(100, 1, uniform_bundle_packets(100, 40, 12, 24, 54),
+                     {14, 6, 72, 408, 14, 5664, 11328, 915,
+                      3344650262124557877ULL});
 }
 
 class SortSizes : public ::testing::TestWithParam<std::size_t> {};

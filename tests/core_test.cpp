@@ -16,6 +16,7 @@
 #include "graph/sequential.hpp"
 #include "graph/union_find.hpp"
 #include "graph/verify.hpp"
+#include "lotker/cc_mst.hpp"
 
 namespace ccq {
 namespace {
@@ -63,6 +64,126 @@ TEST(ComponentGraphBuild, WeightedPicksLightestWitness) {
       build_component_graph_weighted(engine, g.edges(), 4, label);
   ASSERT_EQ(cg.witness.size(), 1u);
   EXPECT_EQ(cg.witness.begin()->second, (WeightedEdge{1, 3, 10}));
+}
+
+// Golden pins for BUILDCOMPONENTGRAPH, captured before its rewrite onto
+// flat arrays: the observer's message sequence, the charged counts, the
+// witness map and the leader lists must stay identical bit for bit.
+std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t word) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (word >> (8 * b)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct ComponentGraphPin {
+  std::uint64_t messages;
+  std::uint64_t words;
+  std::uint64_t observer_digest;
+  std::uint64_t witness_count;
+  std::uint64_t witness_digest;
+  std::uint64_t active_count;
+  std::uint64_t leader_digest;  // active_leaders, then leaders
+};
+
+template <typename Build>
+void expect_component_graph_pin(std::uint32_t n, Build build,
+                                const ComponentGraphPin& pin) {
+  CliqueEngine engine{{.n = n}};
+  std::uint64_t observed = 0xcbf29ce484222325ULL;
+  engine.set_observer([&](VertexId s, VertexId d) {
+    observed = fnv_mix(observed, (static_cast<std::uint64_t>(s) << 32) | d);
+  });
+  const ComponentGraph cg = build(engine);
+  std::uint64_t witness = 0xcbf29ce484222325ULL;
+  for (const auto& [pair, e] : cg.witness)
+    for (std::uint64_t word : {std::uint64_t{pair.first},
+                               std::uint64_t{pair.second},
+                               std::uint64_t{e.u}, std::uint64_t{e.v}, e.w})
+      witness = fnv_mix(witness, word);
+  std::uint64_t leaders = 0xcbf29ce484222325ULL;
+  for (VertexId v : cg.active_leaders) leaders = fnv_mix(leaders, v);
+  for (VertexId v : cg.leaders) leaders = fnv_mix(leaders, v);
+  EXPECT_EQ(engine.metrics().rounds, 1u);
+  EXPECT_EQ(engine.metrics().messages, pin.messages);
+  EXPECT_EQ(engine.metrics().words, pin.words);
+  EXPECT_EQ(observed, pin.observer_digest);
+  EXPECT_EQ(cg.witness.size(), pin.witness_count);
+  EXPECT_EQ(witness, pin.witness_digest);
+  EXPECT_EQ(cg.active_leaders.size(), pin.active_count);
+  EXPECT_EQ(leaders, pin.leader_digest);
+}
+
+/// Leaders (minimum member ids) after uniting a random `fraction` of the
+/// edges: a partial labelling with many inter-component edges.
+std::vector<VertexId> partial_labelling(std::uint32_t n,
+                                        const std::vector<Edge>& edges,
+                                        double fraction, Rng& rng) {
+  UnionFind uf{n};
+  for (const Edge& e : edges)
+    if (rng.next_double() < fraction) uf.unite(e.u, e.v);
+  std::vector<VertexId> min_of(n, n);
+  for (VertexId v = 0; v < n; ++v) {
+    const auto root = uf.find(v);
+    min_of[root] = std::min(min_of[root], v);
+  }
+  std::vector<VertexId> label(n);
+  for (VertexId v = 0; v < n; ++v) label[v] = min_of[uf.find(v)];
+  return label;
+}
+
+TEST(ComponentGraphGolden, UnweightedPartialLabelling) {
+  Rng rng{61};
+  const std::uint32_t n = 300;
+  const auto g = random_connected(n, 900, rng);
+  const auto label = partial_labelling(n, g.edges(), 0.1, rng);
+  expect_component_graph_pin(
+      n, [&](CliqueEngine& e) { return build_component_graph(e, g, label); },
+      {2133, 6399, 8123929650575345577ULL, 1027, 15264005626215654520ULL,
+       190, 17751270397102541793ULL});
+}
+
+TEST(ComponentGraphGolden, WeightedTiesAndDuplicates) {
+  // Weights in [1, 4] make many equal keys; duplicated and reversed edges
+  // check that the first lightest edge in input order wins.
+  Rng rng{62};
+  const std::uint32_t n = 200;
+  const auto g = gnp(n, 0.08, rng);
+  std::vector<WeightedEdge> edges;
+  for (const Edge& e : g.edges())
+    edges.emplace_back(e.u, e.v, 1 + rng.next_below(4));
+  const std::size_t m = edges.size();
+  for (std::size_t i = 0; i < m; i += 7)
+    edges.emplace_back(edges[i].v, edges[i].u, edges[i].w);
+  std::vector<Edge> plain;
+  for (const auto& e : edges) plain.push_back(e.edge());
+  const auto label = partial_labelling(n, plain, 0.05, rng);
+  expect_component_graph_pin(
+      n,
+      [&](CliqueEngine& e) {
+        return build_component_graph_weighted(e, edges, n, label);
+      },
+      {2280, 6840, 6360632737387500521ULL, 786, 10577906656939526247ULL,
+       95, 9506370679894209445ULL});
+}
+
+TEST(ComponentGraphGolden, CliqueAfterOneLotkerPhase) {
+  // The EXACT-MST shape: a 512-clique contracted by one CC-MST phase.
+  Rng rng{63};
+  const std::uint32_t n = 512;
+  const auto weights =
+      CliqueWeights::from_graph(random_weighted_clique(n, rng));
+  CliqueEngine pre{{.n = n}};
+  const auto state = cc_mst_phases(pre, weights, 1);
+  const auto edges = weights.finite_edges();
+  expect_component_graph_pin(
+      n,
+      [&](CliqueEngine& e) {
+        return build_component_graph_weighted(e, edges, n, state.cluster_of);
+      },
+      {88576, 265728, 7762465813773278695ULL, 15051,
+       14889109889341827820ULL, 174, 192314802120847637ULL});
 }
 
 class ReduceSeeds : public ::testing::TestWithParam<std::uint64_t> {};
