@@ -175,6 +175,149 @@ class EulerHalver {
   std::vector<std::uint32_t> part_b_;
 };
 
+/// Proper colouring of a bipartite multigraph on left/right ids [0, n)
+/// with exactly `delta` (its max degree) colours — König's line colouring
+/// theorem, made constructive by alternating paths. Edges are coloured in
+/// order, each with the smallest colour free at both endpoints. When no
+/// colour is free at both, let a be the smallest free at u and b the
+/// smallest free at v; flipping the a/b alternating path that starts at v
+/// frees a at v (the path cannot reach u, which has no a-edge), and the
+/// edge takes a. Memory is O(n + m + delta): a vertex's colours are found
+/// by scanning its incidence list, which is short for the run graphs this
+/// colours.
+std::vector<std::uint32_t> konig_edge_coloring(
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
+    std::uint32_t n, std::uint32_t delta) {
+  constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+  // CSR incidence over 2n ids: left u is u, right v is n + v.
+  std::vector<std::uint32_t> offsets(2 * std::size_t{n} + 1, 0);
+  for (const auto& [u, v] : edges) {
+    ++offsets[u + 1];
+    ++offsets[n + v + 1];
+  }
+  for (std::size_t x = 0; x < 2 * std::size_t{n}; ++x)
+    offsets[x + 1] += offsets[x];
+  std::vector<std::uint32_t> incident(2 * edges.size());
+  {
+    std::vector<std::uint32_t> next(offsets.begin(), offsets.end() - 1);
+    for (std::uint32_t e = 0; e < edges.size(); ++e) {
+      incident[next[edges[e].first]++] = e;
+      incident[next[n + edges[e].second]++] = e;
+    }
+  }
+  std::vector<std::uint32_t> color(edges.size(), kNone);
+  auto edge_at = [&](std::uint32_t x, std::uint32_t c) {
+    for (std::uint32_t i = offsets[x]; i < offsets[x + 1]; ++i)
+      if (color[incident[i]] == c) return incident[i];
+    return kNone;
+  };
+  // used_u[c] / used_v[c] == e + 1 marks colour c as taken at edge e's
+  // endpoints, so the marks never need clearing.
+  std::vector<std::uint32_t> used_u(delta, 0);
+  std::vector<std::uint32_t> used_v(delta, 0);
+  std::vector<std::uint32_t> path;
+  for (std::uint32_t e = 0; e < edges.size(); ++e) {
+    const std::uint32_t u = edges[e].first;
+    const std::uint32_t v = n + edges[e].second;
+    for (std::uint32_t i = offsets[u]; i < offsets[u + 1]; ++i)
+      if (color[incident[i]] != kNone) used_u[color[incident[i]]] = e + 1;
+    for (std::uint32_t i = offsets[v]; i < offsets[v + 1]; ++i)
+      if (color[incident[i]] != kNone) used_v[color[incident[i]]] = e + 1;
+    std::uint32_t c = 0;
+    while (c < delta && (used_u[c] == e + 1 || used_v[c] == e + 1)) ++c;
+    if (c == delta) {
+      std::uint32_t a = 0;
+      while (used_u[a] == e + 1) ++a;
+      std::uint32_t b = 0;
+      while (used_v[b] == e + 1) ++b;
+      // a, b < delta: u and v each have fewer than delta coloured edges.
+      path.clear();
+      std::uint32_t at = v;
+      for (std::uint32_t want = a;; want = want == a ? b : a) {
+        const std::uint32_t f = edge_at(at, want);
+        if (f == kNone) break;
+        path.push_back(f);
+        at = at == edges[f].first ? n + edges[f].second : edges[f].first;
+      }
+      for (std::uint32_t f : path) color[f] = color[f] == a ? b : a;
+      c = a;
+    }
+    color[e] = c;
+  }
+  return color;
+}
+
+/// Colouring for packet sets that are not uniform bundles. Overload
+/// pre-pass: when a few nodes carry load far above n (e.g. a coordinator
+/// absorbing n*polylog sketches), one colouring of the whole multigraph
+/// would need bit_ceil(L) colors for max load L. First-fit the packets
+/// into waves of per-vertex degree <= n — at most ceil(2L/n)+1 waves — and
+/// Euler-colour each wave independently in its own colour block; total
+/// rounds stay O(1 + L/n).
+///
+/// First-fit places a packet of s at wave <= (#waves full for s) +
+/// (#waves full for d), and a full wave holds n of a vertex's packets, so
+/// every wave index is below `width`; send_use/recv_use are flat n x width
+/// tables (n * width <= n + 2 * #packets) of per-wave degrees. Per-vertex
+/// full waves only grow, so scanning starts at the larger of the two
+/// endpoints' first-free hints.
+std::vector<std::uint32_t> wave_edge_coloring(
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
+    std::uint32_t n, std::uint64_t max_send_load,
+    std::uint64_t max_recv_load) {
+  const std::uint64_t width = max_send_load / n + max_recv_load / n + 1;
+  std::vector<std::uint32_t> wave_of(edges.size(), 0);
+  std::uint32_t num_waves = 1;
+  {
+    std::vector<std::uint32_t> send_use(n * width, 0);
+    std::vector<std::uint32_t> recv_use(n * width, 0);
+    std::vector<std::uint32_t> send_hint(n, 0);
+    std::vector<std::uint32_t> recv_hint(n, 0);
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      std::uint32_t* send = &send_use[edges[e].first * width];
+      std::uint32_t* recv = &recv_use[edges[e].second * width];
+      std::uint32_t& s_hint = send_hint[edges[e].first];
+      std::uint32_t& r_hint = recv_hint[edges[e].second];
+      std::uint32_t w = std::max(s_hint, r_hint);
+      while (send[w] >= n || recv[w] >= n) ++w;
+      ++send[w];
+      ++recv[w];
+      while (s_hint < width && send[s_hint] >= n) ++s_hint;
+      while (r_hint < width && recv[r_hint] >= n) ++r_hint;
+      wave_of[e] = w;
+      num_waves = std::max(num_waves, w + 1);
+    }
+  }
+  // Bucket the edges by wave in one pass, edge order kept within a wave,
+  // and give wave w a disjoint color block.
+  std::vector<std::size_t> wave_start(num_waves + 1, 0);
+  for (std::uint32_t w : wave_of) ++wave_start[w + 1];
+  for (std::uint32_t w = 0; w < num_waves; ++w)
+    wave_start[w + 1] += wave_start[w];
+  std::vector<std::size_t> by_wave(edges.size());
+  {
+    std::vector<std::size_t> next(wave_start.begin(), wave_start.end() - 1);
+    for (std::size_t e = 0; e < edges.size(); ++e)
+      by_wave[next[wave_of[e]]++] = e;
+  }
+  std::vector<std::uint32_t> color(edges.size(), 0);
+  std::uint32_t color_base = 0;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> wave_edges;
+  for (std::uint32_t w = 0; w < num_waves; ++w) {
+    wave_edges.clear();
+    for (std::size_t i = wave_start[w]; i < wave_start[w + 1]; ++i)
+      wave_edges.push_back(edges[by_wave[i]]);
+    const auto wave_color = bipartite_edge_coloring(wave_edges, n, n);
+    std::uint32_t used = 0;
+    for (std::size_t i = 0; i < wave_edges.size(); ++i) {
+      color[by_wave[wave_start[w] + i]] = color_base + wave_color[i];
+      used = std::max(used, wave_color[i] + 1);
+    }
+    color_base += used;
+  }
+  return color;
+}
+
 }  // namespace
 
 std::vector<std::uint32_t> bipartite_edge_coloring(
@@ -229,6 +372,42 @@ std::vector<std::uint32_t> bipartite_edge_coloring(
   return color;
 }
 
+std::vector<std::uint32_t> uniform_bundle_coloring(
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
+    std::uint32_t n) {
+  // One run graph edge per maximal stretch of equal consecutive pairs; the
+  // set is uniform when every stretch has the same length k >= 2.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> runs;
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < edges.size();) {
+    std::size_t j = i + 1;
+    while (j < edges.size() && edges[j] == edges[i]) ++j;
+    if (runs.empty()) k = j - i;
+    if (j - i != k) return {};
+    runs.push_back(edges[i]);
+    i = j;
+  }
+  if (k < 2) return {};
+  std::uint32_t delta = 0;
+  {
+    std::vector<std::uint32_t> degl(n, 0);
+    std::vector<std::uint32_t> degr(n, 0);
+    for (const auto& [u, v] : runs) {
+      check(u < n && v < n, "uniform_bundle_coloring: endpoint out of range");
+      delta = std::max({delta, ++degl[u], ++degr[v]});
+    }
+  }
+  if (delta > n) return {};
+  const auto run_color = konig_edge_coloring(runs, n, delta);
+  // The j-th packet of a run takes colour j * delta + c(run): within one
+  // colour the packets are the j-th of runs sharing c, a matching.
+  std::vector<std::uint32_t> color(edges.size());
+  for (std::size_t r = 0; r < runs.size(); ++r)
+    for (std::size_t j = 0; j < k; ++j)
+      color[r * k + j] = static_cast<std::uint32_t>(j) * delta + run_color[r];
+  return color;
+}
+
 void route_packets_into(CliqueEngine& engine,
                         const std::vector<Packet>& packets, RoundBuffer& out,
                         RouteStats* stats) {
@@ -237,6 +416,8 @@ void route_packets_into(CliqueEngine& engine,
   out.reset(n);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
   std::vector<std::size_t> packet_of_edge;
+  edges.reserve(packets.size());
+  packet_of_edge.reserve(packets.size());
   std::vector<std::uint64_t> send_load(n, 0);
   std::vector<std::uint64_t> recv_load(n, 0);
   for (std::size_t i = 0; i < packets.size(); ++i) {
@@ -262,70 +443,14 @@ void route_packets_into(CliqueEngine& engine,
   local.max_send_load = *std::max_element(send_load.begin(), send_load.end());
   local.max_recv_load = *std::max_element(recv_load.begin(), recv_load.end());
   if (!edges.empty()) {
-    // Overload pre-pass: when a few nodes carry load far above n (e.g. a
-    // coordinator absorbing n*polylog sketches), one coloring of the whole
-    // multigraph would need bit_ceil(L) colors for max load L. First-fit
-    // the packets into waves of per-vertex degree <= n — at most
-    // ceil(2L/n)+1 waves — and color each wave independently; total rounds
-    // stay O(1 + L/n).
-    //
-    // First-fit places a packet of s at wave <= (#waves full for s) +
-    // (#waves full for d), and a full wave holds n of a vertex's packets,
-    // so every wave index is below `width`; send_use/recv_use are flat
-    // n x width tables (n * width <= n + 2 * #packets) of per-wave degrees.
-    // Per-vertex full waves only grow, so scanning starts at the larger of
-    // the two endpoints' first-free hints.
-    const std::uint64_t width =
-        local.max_send_load / n + local.max_recv_load / n + 1;
-    std::vector<std::uint32_t> wave_of(edges.size(), 0);
-    std::uint32_t num_waves = 1;
-    {
-      std::vector<std::uint32_t> send_use(n * width, 0);
-      std::vector<std::uint32_t> recv_use(n * width, 0);
-      std::vector<std::uint32_t> send_hint(n, 0);
-      std::vector<std::uint32_t> recv_hint(n, 0);
-      for (std::size_t e = 0; e < edges.size(); ++e) {
-        std::uint32_t* send = &send_use[edges[e].first * width];
-        std::uint32_t* recv = &recv_use[edges[e].second * width];
-        std::uint32_t& s_hint = send_hint[edges[e].first];
-        std::uint32_t& r_hint = recv_hint[edges[e].second];
-        std::uint32_t w = std::max(s_hint, r_hint);
-        while (send[w] >= n || recv[w] >= n) ++w;
-        ++send[w];
-        ++recv[w];
-        while (s_hint < width && send[s_hint] >= n) ++s_hint;
-        while (r_hint < width && recv[r_hint] >= n) ++r_hint;
-        wave_of[e] = w;
-        num_waves = std::max(num_waves, w + 1);
-      }
-    }
-    // Bucket the edges by wave in one pass, edge order kept within a wave,
-    // and give wave w a disjoint color block.
-    std::vector<std::size_t> wave_start(num_waves + 1, 0);
-    for (std::uint32_t w : wave_of) ++wave_start[w + 1];
-    for (std::uint32_t w = 0; w < num_waves; ++w)
-      wave_start[w + 1] += wave_start[w];
-    std::vector<std::size_t> by_wave(edges.size());
-    {
-      std::vector<std::size_t> next(wave_start.begin(), wave_start.end() - 1);
-      for (std::size_t e = 0; e < edges.size(); ++e)
-        by_wave[next[wave_of[e]]++] = e;
-    }
-    std::vector<std::uint32_t> color(edges.size(), 0);
-    std::uint32_t color_base = 0;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> wave_edges;
-    for (std::uint32_t w = 0; w < num_waves; ++w) {
-      wave_edges.clear();
-      for (std::size_t i = wave_start[w]; i < wave_start[w + 1]; ++i)
-        wave_edges.push_back(edges[by_wave[i]]);
-      const auto wave_color = bipartite_edge_coloring(wave_edges, n, n);
-      std::uint32_t used = 0;
-      for (std::size_t i = 0; i < wave_edges.size(); ++i) {
-        color[by_wave[wave_start[w] + i]] = color_base + wave_color[i];
-        used = std::max(used, wave_color[i] + 1);
-      }
-      color_base += used;
-    }
+    // Uniform bundles (every run of equal consecutive pairs one length,
+    // the SQ-MST and GC sketch shape) get the optimal k * delta_S colours
+    // from one colouring of the small run graph; every other packet set
+    // keeps the wave + Euler colouring.
+    std::vector<std::uint32_t> color = uniform_bundle_coloring(edges, n);
+    if (color.empty())
+      color = wave_edge_coloring(edges, n, local.max_send_load,
+                                 local.max_recv_load);
     const std::uint32_t num_colors =
         1 + *std::max_element(color.begin(), color.end());
     // Colors are grouped into batches of up to `n * messages_per_link`

@@ -17,6 +17,20 @@
 // the maximum number of packets any node sends or receives, matching
 // Lenzen's bound (including the O(1) regime when L <= n).
 //
+// Two colorings, selected by the packet set alone. A *run* is a maximal
+// stretch of consecutive relayed packets with the same (src, dst).
+//  - Uniform bundles: every run has one length k >= 2 and the run graph
+//    (one edge per run) has max degree delta_S <= n. The run graph is
+//    colored with exactly delta_S colors (König, alternating paths) and
+//    the j-th packet of a run takes color j*delta_S + c(run): K = k*delta_S
+//    is the packet multigraph's max degree, the minimum for any proper
+//    coloring. Sketch routes (every copy and chunk of one sketch collection
+//    to one receiver) have this shape.
+//  - Every other packet set: first-fit waves of per-vertex degree <= n,
+//    each wave colored by Euler halving (bipartite_edge_coloring) in its
+//    own color block.
+// Delivery order never depends on the colors; only the relays do.
+//
 // The coloring itself is computed centrally by the simulator. This is the
 // substitution documented in DESIGN.md: Lenzen's result guarantees an
 // equivalent schedule is computable distributively in O(1) rounds, so we
@@ -65,9 +79,21 @@ void route_packets_into(CliqueEngine& engine,
 /// Proper edge coloring of the bipartite multigraph {(src_i, dst_i)} via
 /// iterated Euler partition. Returns one color per edge; the number of
 /// colors is at most 2^ceil(log2(max_degree)) < 2 * max_degree, and within
-/// a color no two edges share a src or share a dst. Exposed for testing.
+/// a color no two edges share a src or share a dst. route_packets_into
+/// uses it per first-fit wave for packet sets that are not uniform
+/// bundles. Exposed for testing.
 std::vector<std::uint32_t> bipartite_edge_coloring(
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
     std::uint32_t left_size, std::uint32_t right_size);
+
+/// The uniform-bundle coloring route_packets_into applies to its relayed
+/// (src, dst) sequence on an n-node clique (see the header comment).
+/// Returns one color per edge, exactly k * delta_S colors in all, when the
+/// sequence is uniform bundles with delta_S <= n; otherwise returns an
+/// empty vector and the caller falls back to the wave coloring. Within a
+/// color no two edges share a src or share a dst. Exposed for testing.
+std::vector<std::uint32_t> uniform_bundle_coloring(
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
+    std::uint32_t n);
 
 }  // namespace ccq

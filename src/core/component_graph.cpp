@@ -1,20 +1,10 @@
 #include "core/component_graph.hpp"
 
 #include <algorithm>
-#include <set>
-#include <unordered_map>
 
 #include "util/error.hpp"
 
 namespace ccq {
-
-std::vector<ComponentPair> ComponentGraph::incident_pairs(
-    VertexId leader) const {
-  std::vector<ComponentPair> out;
-  for (const auto& [pair, edge] : witness)
-    if (pair.first == leader || pair.second == leader) out.push_back(pair);
-  return out;
-}
 
 namespace {
 
@@ -24,57 +14,95 @@ ComponentGraph build_impl(CliqueEngine& engine,
                           const std::vector<VertexId>& leader_of) {
   check(leader_of.size() == n, "build_component_graph: bad labelling");
   ComponentGraph out;
+  std::vector<std::uint8_t> is_leader(n, 0);
+  for (VertexId leader : leader_of) {
+    check(leader < n, "build_component_graph: leader out of range");
+    is_leader[leader] = 1;
+  }
+  for (VertexId v = 0; v < n; ++v)
+    if (is_leader[v]) out.leaders.push_back(v);
+  // CSR of every node's inter-component edges, in input order, so the
+  // first lightest edge into a component wins ties exactly as it would
+  // scanning the input.
+  std::vector<std::uint32_t> offsets(n + 1, 0);
+  for (const auto& e : edges)
+    if (leader_of[e.u] != leader_of[e.v]) {
+      ++offsets[e.u + 1];
+      ++offsets[e.v + 1];
+    }
+  for (VertexId v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  std::vector<std::uint32_t> incident(offsets[n]);
   {
-    std::set<VertexId> leader_set(leader_of.begin(), leader_of.end());
-    out.leaders.assign(leader_set.begin(), leader_set.end());
+    std::vector<std::uint32_t> next(offsets.begin(), offsets.end() - 1);
+    for (std::uint32_t i = 0; i < edges.size(); ++i) {
+      const auto& e = edges[i];
+      if (leader_of[e.u] == leader_of[e.v]) continue;
+      incident[next[e.u]++] = i;
+      incident[next[e.v]++] = i;
+    }
   }
-  // Per-node lightest incident edge into each foreign component — the
-  // content of the single round of messages (node -> foreign leader).
-  // message_pairs counts exactly the messages the round carries.
-  std::vector<std::unordered_map<VertexId, WeightedEdge>> lightest(n);
-  for (const auto& e : edges) {
-    const VertexId cu = leader_of[e.u];
-    const VertexId cv = leader_of[e.v];
-    if (cu == cv) continue;
-    auto consider = [&](VertexId node, VertexId foreign_leader) {
-      auto& row = lightest[node];
-      const auto it = row.find(foreign_leader);
-      if (it == row.end() || e.key() < it->second.key())
-        row.insert_or_assign(foreign_leader, e);
-    };
-    consider(e.u, cv);
-    consider(e.v, cu);
-  }
-  std::uint64_t message_count = 0;
+  // Per node, the lightest incident edge into each foreign component — the
+  // content of the single round of messages (node -> foreign leader), one
+  // message per touched leader. best[leader] is valid where stamp[leader]
+  // is the node's id + 1.
+  struct Report {
+    ComponentPair pair;
+    std::uint32_t edge;
+  };
+  std::vector<Report> messages;
+  std::vector<std::uint32_t> stamp(n, 0);
+  std::vector<std::uint32_t> best(n, 0);
+  std::vector<VertexId> touched;
   for (VertexId u = 0; u < n; ++u) {
-    // Materialize the per-node row in sorted leader order: the observe /
-    // attribute_load sequence below is deterministic output, so it must not
-    // follow unordered_map hash order.
-    std::vector<std::pair<VertexId, WeightedEdge>> row(lightest[u].begin(),
-                                                       lightest[u].end());
-    std::sort(row.begin(), row.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [foreign_leader, edge] : row) {
+    touched.clear();
+    for (std::uint32_t i = offsets[u]; i < offsets[u + 1]; ++i) {
+      const WeightedEdge& e = edges[incident[i]];
+      const VertexId foreign = leader_of[e.u == u ? e.v : e.u];
+      if (stamp[foreign] != u + 1) {
+        stamp[foreign] = u + 1;
+        best[foreign] = incident[i];
+        touched.push_back(foreign);
+      } else if (e.key() < edges[best[foreign]].key()) {
+        best[foreign] = incident[i];
+      }
+    }
+    // Sorted leader order: the observe / attribute_load sequence is
+    // deterministic output.
+    std::sort(touched.begin(), touched.end());
+    for (VertexId foreign : touched) {
       // u can never be another component's leader, so every entry is a
-      // real message u -> foreign_leader.
-      ++message_count;
-      engine.observe(u, foreign_leader);
-      engine.attribute_load(u, foreign_leader, 1, 3);
-      const auto key = component_pair(leader_of[u], foreign_leader);
-      const auto it = out.witness.find(key);
-      if (it == out.witness.end() || edge.key() < it->second.key())
-        out.witness.insert_or_assign(key, edge);
+      // real message u -> foreign.
+      engine.observe(u, foreign);
+      engine.attribute_load(u, foreign, 1, 3);
+      messages.push_back(
+          {component_pair(leader_of[u], foreign), best[foreign]});
     }
   }
   // One round: every node sends at most one message per distinct foreign
   // leader (distinct destinations); each message carries (u, v, w).
+  const std::uint64_t message_count = messages.size();
   engine.charge_verified_round(message_count, message_count * 3);
-  std::set<VertexId> active;
-  for (const auto& [pair, edge] : out.witness) {
-    active.insert(pair.first);
-    active.insert(pair.second);
+  // Each leader pair keeps its lightest witness, the first in message
+  // order on equal keys (the stable sort keeps message order per pair).
+  std::stable_sort(messages.begin(), messages.end(),
+                   [](const Report& a, const Report& b) {
+                     return a.pair < b.pair;
+                   });
+  std::vector<std::uint8_t> active(n, 0);
+  for (std::size_t i = 0; i < messages.size();) {
+    std::uint32_t lightest = messages[i].edge;
+    std::size_t j = i + 1;
+    for (; j < messages.size() && messages[j].pair == messages[i].pair; ++j)
+      if (edges[messages[j].edge].key() < edges[lightest].key())
+        lightest = messages[j].edge;
+    out.witness.emplace_hint(out.witness.end(), messages[i].pair,
+                             edges[lightest]);
+    active[messages[i].pair.first] = 1;
+    active[messages[i].pair.second] = 1;
+    i = j;
   }
-  out.active_leaders.assign(active.begin(), active.end());
+  for (VertexId v = 0; v < n; ++v)
+    if (active[v]) out.active_leaders.push_back(v);
   return out;
 }
 

@@ -38,9 +38,6 @@ struct ComponentGraph {
   /// between them (weight 1 in the unweighted variant). Conceptually each
   /// leader holds its row; the simulator stores the union.
   std::map<ComponentPair, WeightedEdge> witness;
-
-  /// Component-graph edges incident on a leader.
-  std::vector<ComponentPair> incident_pairs(VertexId leader) const;
 };
 
 /// Unweighted variant (GC): witnesses carry weight 1.

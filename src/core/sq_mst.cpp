@@ -97,7 +97,6 @@ SqMstResult sq_mst(CliqueEngine& engine, std::uint32_t n,
       // G_{i} contains ranks < i * group_size (groups are 0-based here:
       // guardian i checks E_i against groups 0..i-1).
       const std::uint64_t limit = static_cast<std::uint64_t>(i) * group_size;
-      bool changed = false;
       while (consumed < incident[v].size() &&
              incident[v][consumed].first < limit) {
         const Edge& e = incident[v][consumed].second;
@@ -105,9 +104,7 @@ SqMstResult sq_mst(CliqueEngine& engine, std::uint32_t n,
         const int sign = incidence_sign(v, e);
         for (std::uint32_t j = 0; j < copies; ++j) acc[j].update(idx, sign);
         ++consumed;
-        changed = true;
       }
-      (void)changed;
       if (consumed == 0) continue;  // neighbourhood in G_i still empty
       for (std::uint32_t j = 0; j < copies; ++j)
         append_sketch_packets(sketch_packets, v, static_cast<VertexId>(i),

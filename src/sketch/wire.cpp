@@ -1,5 +1,7 @@
 #include "sketch/wire.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 
 namespace ccq {
@@ -44,46 +46,63 @@ void SketchReassembler::add(const Message& m) {
   if ((m.tag & kBaseMask) != tag_base_) return;
   const std::uint32_t copy = (m.tag >> kCopyShift) & 0xff;
   const std::uint32_t chunk = m.tag & kChunkMask;
-  const auto key = std::make_pair(m.src, copy);
-  auto& buffer = buffers_[key];
-  if (buffer.empty()) buffer.assign(space_->sketch_words(), 0);
+  const std::uint32_t t = space_->copies();
+  const std::size_t words = space_->sketch_words();
+  if (m.src >= slot_of_.size()) slot_of_.resize(m.src + 1, kNoSlot);
+  std::uint32_t& slot = slot_of_[m.src];
+  if (slot == kNoSlot) {
+    slot = static_cast<std::uint32_t>(sender_of_.size());
+    sender_of_.push_back(m.src);
+    words_.resize(words_.size() + t * words, 0);
+    received_.resize(received_.size() + t, 0);
+  }
   const std::size_t begin = static_cast<std::size_t>(chunk) * kMaxWords;
-  check(begin + m.count <= buffer.size(),
+  check(begin + m.count <= words,
         "SketchReassembler: chunk outside sketch bounds");
-  for (std::size_t i = 0; i < m.count; ++i) buffer[begin + i] = m.words[i];
-  received_[key] += m.count;
+  if (copy >= t) {
+    ++stray_copies_;  // reported by take()
+    return;
+  }
+  const std::size_t cell = static_cast<std::size_t>(slot) * t + copy;
+  std::copy_n(m.words.begin(), m.count, words_.begin() + cell * words + begin);
+  received_[cell] += m.count;
 }
 
 std::vector<VertexId> SketchReassembler::senders() const {
-  std::vector<VertexId> out;
-  for (const auto& [key, buffer] : buffers_)
-    if (out.empty() || out.back() != key.first) out.push_back(key.first);
+  std::vector<VertexId> out = sender_of_;
+  std::sort(out.begin(), out.end());
   return out;
 }
 
 SketchArena SketchReassembler::take(std::span<const VertexId> senders) {
   const std::uint32_t t = space_->copies();
-  const std::size_t cells = space_->sketch_words() / 3;
-  check(buffers_.size() == senders.size() * t,
+  const std::size_t words = space_->sketch_words();
+  const std::size_t cells = words / 3;
+  check(stray_copies_ == 0, "SketchReassembler: copy index out of range");
+  check(sender_of_.size() == senders.size(),
         "SketchReassembler: sketches from an unlisted sender");
   SketchArena arena;
-  arena.phi.resize(buffers_.size() * cells);
-  arena.iota.resize(buffers_.size() * cells);
-  arena.tau.resize(buffers_.size() * cells);
+  arena.phi.resize(senders.size() * t * cells);
+  arena.iota.resize(senders.size() * t * cells);
+  arena.tau.resize(senders.size() * t * cells);
   std::size_t at = 0;
   for (const VertexId sender : senders) {
+    const std::uint32_t slot =
+        sender < slot_of_.size() ? slot_of_[sender] : kNoSlot;
+    check(slot != kNoSlot, "SketchReassembler: missing sketch copy");
     for (std::uint32_t j = 0; j < t; ++j, at += cells) {
-      const auto it = buffers_.find({sender, j});
-      check(it != buffers_.end(), "SketchReassembler: missing sketch copy");
-      check(received_.at(it->first) == space_->sketch_words(),
-            "SketchReassembler: incomplete sketch");
-      L0Sketch::decode_words(it->second,
+      const std::size_t cell = static_cast<std::size_t>(slot) * t + j;
+      check(received_[cell] != 0, "SketchReassembler: missing sketch copy");
+      check(received_[cell] == words, "SketchReassembler: incomplete sketch");
+      L0Sketch::decode_words(std::span{words_}.subspan(cell * words, words),
                              std::span{arena.phi}.subspan(at, cells),
                              std::span{arena.iota}.subspan(at, cells),
                              std::span{arena.tau}.subspan(at, cells));
     }
   }
-  buffers_.clear();
+  slot_of_.clear();
+  sender_of_.clear();
+  words_.clear();
   received_.clear();
   return arena;
 }

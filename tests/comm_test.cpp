@@ -194,6 +194,101 @@ TEST(Routing, ObserverSeesTwoHops) {
   EXPECT_EQ(count, 4u);
 }
 
+TEST(Routing, UniformBundlesUseExactlyMaxDegreeColors) {
+  // Random uniform bundle sets: every relayed (src, dst) run has one
+  // length k, runs may repeat a pair non-consecutively, and local runs mix
+  // in. The route must use exactly delta = k * delta_S colours.
+  Rng rng{71};
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto n = static_cast<std::uint32_t>(3 + rng.next_below(62));
+    const auto k = static_cast<std::uint32_t>(2 + rng.next_below(15));
+    const std::uint32_t per_link = trial % 2 == 0 ? 1 : 4;
+    auto subset = [&] {
+      std::vector<VertexId> out;
+      for (VertexId v = 0; v < n; ++v)
+        if (rng.next_below(3) == 0) out.push_back(v);
+      if (out.empty()) out.push_back(static_cast<VertexId>(rng.next_below(n)));
+      return out;
+    };
+    const auto senders = subset();
+    const auto receivers = subset();
+    std::vector<std::uint32_t> send_runs(n, 0);
+    std::vector<std::uint32_t> recv_runs(n, 0);
+    std::vector<Packet> packets;
+    std::pair<VertexId, VertexId> last_relayed{n, n};
+    const std::size_t runs = 1 + rng.next_below(3 * n);
+    for (std::size_t r = 0; r < runs; ++r) {
+      const VertexId s = senders[rng.next_below(senders.size())];
+      const VertexId d = receivers[rng.next_below(receivers.size())];
+      if (s != d) {
+        // Equal adjacent relayed runs would merge into one of length 2k;
+        // delta_S stays <= n so the bundle colouring applies.
+        if (std::pair{s, d} == last_relayed || send_runs[s] == n ||
+            recv_runs[d] == n)
+          continue;
+        last_relayed = {s, d};
+        ++send_runs[s];
+        ++recv_runs[d];
+      }
+      for (std::uint32_t j = 0; j < k; ++j)
+        packets.push_back({s, d, msg1(0, packets.size())});
+    }
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> relayed;
+    for (const Packet& p : packets)
+      if (p.src != p.dst) relayed.emplace_back(p.src, p.dst);
+    if (relayed.empty()) continue;
+    const std::uint64_t delta =
+        k * std::max(*std::max_element(send_runs.begin(), send_runs.end()),
+                     *std::max_element(recv_runs.begin(), recv_runs.end()));
+
+    const auto color = uniform_bundle_coloring(relayed, n);
+    ASSERT_EQ(color.size(), relayed.size()) << "trial " << trial;
+    EXPECT_EQ(1 + *std::max_element(color.begin(), color.end()), delta);
+    std::set<std::pair<std::uint32_t, std::uint32_t>> src_used;
+    std::set<std::pair<std::uint32_t, std::uint32_t>> dst_used;
+    for (std::size_t i = 0; i < relayed.size(); ++i) {
+      EXPECT_TRUE(src_used.insert({color[i], relayed[i].first}).second);
+      EXPECT_TRUE(dst_used.insert({color[i], relayed[i].second}).second);
+    }
+
+    CliqueEngine engine{{.n = n, .messages_per_link = per_link}};
+    RouteStats stats;
+    RoundBuffer inbox;
+    route_packets_into(engine, packets, inbox, &stats);
+    const std::uint64_t per_batch = std::uint64_t{n} * per_link;
+    EXPECT_EQ(stats.rounds,
+              2 * ((delta + per_batch - 1) / per_batch) + kScheduleRounds)
+        << "trial " << trial;
+    std::vector<std::uint32_t> seen(packets.size(), 0);
+    for (VertexId v = 0; v < n; ++v)
+      for (const Message& m : inbox.inbox(v)) {
+        ASSERT_LT(m.word(0), packets.size());
+        EXPECT_EQ(packets[m.word(0)].src, m.src);
+        EXPECT_EQ(packets[m.word(0)].dst, v);
+        ++seen[m.word(0)];
+      }
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1u),
+              static_cast<std::ptrdiff_t>(packets.size()));
+  }
+}
+
+TEST(Routing, NonUniformPacketSetsKeepWaveColoring) {
+  using Pairs = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+  // Runs of length 1, mixed run lengths, and delta_S > n all fall back.
+  EXPECT_TRUE(uniform_bundle_coloring(Pairs{{0, 1}, {1, 2}}, 4).empty());
+  EXPECT_TRUE(
+      uniform_bundle_coloring(Pairs{{0, 1}, {0, 1}, {1, 2}}, 4).empty());
+  Pairs star;
+  for (std::uint32_t s = 0; s < 3; ++s)
+    for (std::uint32_t d = 0; d < 3; ++d)
+      for (int j = 0; j < 2; ++j) star.emplace_back(s, d);
+  EXPECT_EQ(uniform_bundle_coloring(star, 3).size(), star.size());
+  star.emplace_back(0, 1);
+  star.emplace_back(0, 1);  // a fourth run into receiver 1: delta_S = 4 > n
+  EXPECT_TRUE(uniform_bundle_coloring(star, 3).empty());
+  EXPECT_TRUE(uniform_bundle_coloring(Pairs{}, 3).empty());
+}
+
 // Golden pins for the central schedules. Each constant is an
 // order-sensitive FNV-1a digest (or an exact count) of what the colouring
 // and the router produce today; a rewrite of bipartite_edge_coloring or of
@@ -358,22 +453,23 @@ TEST(RoutingGolden, UniformBundles) {
   // 40 senders x 3 of 12 guardians x 24 copies: a guardian receives far
   // more than n = 120 packets, so the route needs several batches.
   expect_packets_pin(120, 1, uniform_bundle_packets(120, 40, 12, 24, 54),
-                     {10, 4, 72, 408, 10, 5712, 11424, 1325,
-                      5736883147330371221ULL});
+                     {10, 4, 72, 408, 10, 5712, 11424, 845,
+                      8782660606391672037ULL});
 }
 
 TEST(RoutingGolden, UniformBundlesWideLinks) {
   expect_packets_pin(120, 4, uniform_bundle_packets(120, 40, 12, 24, 54),
                      {4, 1, 72, 408, 4, 5712, 11424, 2856,
-                      5736883147330371221ULL});
+                      8782660606391672037ULL});
 }
 
 TEST(RoutingGolden, UniformBundlesOddN) {
-  // n = 100 is no power of two: a wave of degree <= n takes up to 128
-  // Euler colours, so per-wave colour blocks overshoot the n-colour batches.
+  // n = 100 is no power of two: the wave path's per-wave Euler blocks (up
+  // to 128 colours for a wave of degree <= n) took 6 batches; the bundle
+  // colouring needs only ceil(408 / 100) = 5.
   expect_packets_pin(100, 1, uniform_bundle_packets(100, 40, 12, 24, 54),
-                     {14, 6, 72, 408, 14, 5664, 11328, 915,
-                      3344650262124557877ULL});
+                     {12, 5, 72, 408, 12, 5664, 11328, 706,
+                      14976854510530559013ULL});
 }
 
 class SortSizes : public ::testing::TestWithParam<std::size_t> {};

@@ -414,6 +414,47 @@ TEST(Wire, MissingOrUnlistedSenderRejected) {
   EXPECT_THROW(missing.take(std::vector<VertexId>{4}), std::logic_error);
 }
 
+TEST(Wire, IncompleteOrStrayCopyRejected) {
+  Rng rng{18};
+  const auto words = rng.words(SketchSpace::seed_words_needed(16, 2));
+  const SketchSpace space{16, 2, words};
+  std::vector<Packet> packets;
+  const auto sketches = space.sketch_vertex(3, std::vector<Edge>{{3, 4}});
+  for (std::uint32_t j = 0; j < 2; ++j)
+    append_sketch_packets(packets, 3, 0, 0x00050000, j, sketches[j]);
+  ASSERT_GT(packets.size(), 2u);
+  auto feed = [&](SketchReassembler& reassembler, std::size_t skip) {
+    for (std::size_t i = 0; i < packets.size(); ++i) {
+      if (i == skip) continue;
+      Message m = packets[i].msg;
+      m.src = packets[i].src;
+      reassembler.add(m);
+    }
+  };
+  const std::vector<VertexId> listed{3};
+  SketchReassembler complete{space, 0x00050000};
+  feed(complete, packets.size());
+  EXPECT_NO_THROW(complete.take(listed));
+  // One chunk of the last copy never arrives.
+  SketchReassembler incomplete{space, 0x00050000};
+  feed(incomplete, packets.size() - 1);
+  EXPECT_THROW(incomplete.take(listed), std::logic_error);
+  // A third copy on a two-copy space.
+  SketchReassembler stray{space, 0x00050000};
+  feed(stray, packets.size());
+  Message extra = packets[0].msg;
+  extra.src = 3;
+  extra.tag = 0x00050000 | (2u << 8);
+  stray.add(extra);
+  EXPECT_THROW(stray.take(listed), std::logic_error);
+  // A chunk index past the sketch's last word.
+  SketchReassembler outside{space, 0x00050000};
+  Message far = packets[0].msg;
+  far.src = 3;
+  far.tag = 0x00050000 | 0xff;
+  EXPECT_THROW(outside.add(far), std::logic_error);
+}
+
 TEST(Wire, ForeignTagsIgnored) {
   Rng rng{16};
   const auto words = rng.words(SketchSpace::seed_words_needed(16, 1));
