@@ -1,7 +1,6 @@
 #include "core/sq_mst.hpp"
 
 #include <algorithm>
-#include <map>
 #include <unordered_map>
 
 #include "comm/primitives.hpp"

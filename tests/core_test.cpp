@@ -145,8 +145,8 @@ TEST(ComponentGraphGolden, UnweightedPartialLabelling) {
 }
 
 TEST(ComponentGraphGolden, WeightedTiesAndDuplicates) {
-  // Weights in [1, 4] make many equal keys; duplicated and reversed edges
-  // check that the first lightest edge in input order wins.
+  // Weights in [1, 4] make many equal weights; duplicated and reversed
+  // edges give equal keys.
   Rng rng{62};
   const std::uint32_t n = 200;
   const auto g = gnp(n, 0.08, rng);
