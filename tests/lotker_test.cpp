@@ -3,6 +3,7 @@
 #include <cmath>
 #include <map>
 
+#include "core/gc.hpp"
 #include "graph/generators.hpp"
 #include "graph/sequential.hpp"
 #include "graph/verify.hpp"
@@ -281,6 +282,141 @@ TEST(LotkerGolden, PhasesOneAndThree) {
           expect_phase_pin(state, engine.metrics(), observed, *pin++);
         }
       }
+    }
+  }
+  EXPECT_EQ(pin, std::end(pins));
+}
+
+// Digest of the observer's (src, dst) sequence, hooked into `engine`.
+void digest_observer(CliqueEngine& engine, std::uint64_t& observed) {
+  observed = 0xcbf29ce484222325ULL;
+  engine.set_observer([&observed](VertexId s, VertexId d) {
+    observed = fnv_mix(observed, (static_cast<std::uint64_t>(s) << 32) | d);
+  });
+}
+
+TEST(LotkerGolden, DisconnectedSparseUnit) {
+  // Six components of a unit-weight input: from phase 2 on most cluster
+  // pairs share no finite edge, so padding candidates and infinite merges
+  // dominate. Pinned after every phase, in loop order n, link width, phase.
+  const PhasePin pins[] = {
+      {50, 15097987133504692160ULL, 12149632225200674498ULL, 4,
+       3263, 9852, 3150, 16554450120309149638ULL},
+      {61, 474985085475791721ULL, 9441718903035369911ULL, 9,
+       4840, 14624, 3150, 16896548416255097761ULL},
+      {63, 17708658520601373838ULL, 9052592289448545061ULL, 14,
+       5104, 15424, 3150, 14171702586648584640ULL},
+      {56, 6809988475447002475ULL, 5162101008664599685ULL, 4,
+       3836, 11760, 3528, 7619754100564584445ULL},
+      {63, 1065256710050685614ULL, 9052592289448545061ULL, 9,
+       4808, 14752, 3528, 14485779077600221311ULL},
+      {63, 1065256710050685614ULL, 9052592289448545061ULL, 9,
+       4808, 14752, 3528, 14485779077600221311ULL},
+      {63, 9849927011722731534ULL, 9052592289448545061ULL, 4,
+       8001, 27972, 3969, 16451061935765017285ULL},
+      {63, 9849927011722731534ULL, 9052592289448545061ULL, 4,
+       8001, 27972, 3969, 16451061935765017285ULL},
+      {63, 9849927011722731534ULL, 9052592289448545061ULL, 4,
+       8001, 27972, 3969, 16451061935765017285ULL},
+      {772, 9958235357043445625ULL, 2072670921617435686ULL, 4,
+       791551, 2375676, 789756, 9859554843302910308ULL},
+      {982, 14987089814414180961ULL, 16329497733321484500ULL, 9,
+       1264370, 3794888, 789756, 7869387669832290524ULL},
+      {1022, 8785812233677304844ULL, 12166833125408960966ULL, 14,
+       1347859, 4045900, 789756, 16774683084997697045ULL},
+      {925, 9435175132148563090ULL, 3146128117182732227ULL, 4,
+       951292, 2857968, 946275, 13730768558976762352ULL},
+      {1023, 3556427557192889395ULL, 13389487554061181733ULL, 9,
+       1155556, 3474320, 946275, 1018682893028018433ULL},
+      {1023, 3556427557192889395ULL, 13389487554061181733ULL, 9,
+       1155556, 3474320, 946275, 1018682893028018433ULL},
+      {1023, 12252677718244636791ULL, 13389487554061181733ULL, 4,
+       2094081, 7328772, 1046529, 8162760885435529413ULL},
+      {1023, 12252677718244636791ULL, 13389487554061181733ULL, 4,
+       2094081, 7328772, 1046529, 8162760885435529413ULL},
+      {1023, 12252677718244636791ULL, 13389487554061181733ULL, 4,
+       2094081, 7328772, 1046529, 8162760885435529413ULL},
+  };
+  const PhasePin* pin = pins;
+  for (const std::uint32_t n : {64u, 1024u}) {
+    Rng rng{900 + n};
+    const auto input =
+        CliqueWeights::unit_from_graph(random_components(n, 6, n / 2, rng));
+    for (const std::uint32_t per_link :
+         {1u, 4u, wide_bandwidth_messages_per_link(n)}) {
+      CliqueEngine engine{{.n = n, .messages_per_link = per_link}};
+      std::uint64_t observed = 0;
+      digest_observer(engine, observed);
+      LotkerState state = cc_mst_initial_state(n);
+      for (std::uint32_t phase = 1; phase <= 3; ++phase) {
+        cc_mst_step(engine, input, state);
+        SCOPED_TRACE(testing::Message() << "n=" << n << " per_link="
+                                        << per_link << " phase=" << phase);
+        expect_phase_pin(state, engine.metrics(), observed, *pin++);
+      }
+    }
+  }
+  EXPECT_EQ(pin, std::end(pins));
+}
+
+TEST(LotkerGolden, DenseCliquePhaseOne) {
+  // EXACT-MST's preprocessing shape: one phase from all singletons on a
+  // 512-node distinct-weight clique.
+  const PhasePin pin = {331, 12946802765973441899ULL, 13703865708744623800ULL,
+                        4, 169983, 510460, 169141, 12336519766049315961ULL};
+  Rng rng{512};
+  const auto input =
+      CliqueWeights::from_graph(random_weighted_clique(512, rng));
+  CliqueEngine engine{{.n = 512}};
+  std::uint64_t observed = 0;
+  digest_observer(engine, observed);
+  LotkerState state = cc_mst_initial_state(512);
+  cc_mst_step(engine, input, state);
+  expect_phase_pin(state, engine.metrics(), observed, pin);
+}
+
+TEST(LotkerGolden, GcVerifyConnectivity) {
+  // gc_verify_connectivity calls cc_mst_step once per phase and builds a
+  // component graph after each; pins its verdict and whole schedule on a
+  // connected and a four-component input. In loop order n, input.
+  struct VerifyPin {
+    bool connected;
+    bool early_exit;
+    std::uint32_t phases_run;
+    bool monte_carlo_ok;
+    std::uint64_t rounds;
+    std::uint64_t messages;
+    std::uint64_t words;
+    std::uint64_t observed_digest;
+  };
+  const VerifyPin pins[] = {
+      {true, true, 3, true, 17, 75917, 228148, 16213253250117951899ULL},
+      {false, true, 2, true, 11, 75699, 227483, 18076235022743043772ULL},
+      {true, true, 3, true, 17, 1217591, 3654565, 11270789290741519768ULL},
+      {false, true, 3, true, 17, 1311863, 3937967, 11830262286046760298ULL},
+  };
+  const VerifyPin* pin = pins;
+  for (const std::uint32_t n : {256u, 1024u}) {
+    Rng rng{1100 + n};
+    const Graph inputs[] = {random_connected(n, 2 * n, rng),
+                            random_components(n, 4, n, rng)};
+    for (const Graph& g : inputs) {
+      CliqueEngine engine{{.n = n}};
+      std::uint64_t observed = 0;
+      digest_observer(engine, observed);
+      Rng sketch_rng{n};
+      const GcVerifyResult r = gc_verify_connectivity(engine, g, sketch_rng);
+      const Metrics& m = engine.metrics();
+      SCOPED_TRACE(testing::Message() << "n=" << n);
+      EXPECT_EQ(r.connected, pin->connected);
+      EXPECT_EQ(r.early_exit, pin->early_exit);
+      EXPECT_EQ(r.phases_run, pin->phases_run);
+      EXPECT_EQ(r.monte_carlo_ok, pin->monte_carlo_ok);
+      EXPECT_EQ(m.rounds, pin->rounds);
+      EXPECT_EQ(m.messages, pin->messages);
+      EXPECT_EQ(m.words, pin->words);
+      EXPECT_EQ(observed, pin->observed_digest);
+      ++pin;
     }
   }
   EXPECT_EQ(pin, std::end(pins));
