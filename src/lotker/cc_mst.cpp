@@ -62,10 +62,13 @@ WeightedEdge CliqueWeights::edge(VertexId u, VertexId v) const {
 }
 
 std::vector<WeightedEdge> CliqueWeights::finite_edges() const {
+  // One sequential walk of the triangle: slot(u, v), u < v, runs through
+  // w_ in (u, v) order.
   std::vector<WeightedEdge> out;
+  std::size_t i = 0;
   for (VertexId u = 0; u < n_; ++u)
-    for (VertexId v = u + 1; v < n_; ++v)
-      if (finite(u, v)) out.emplace_back(u, v, at(u, v));
+    for (VertexId v = u + 1; v < n_; ++v, ++i)
+      if (w_[i] != kNoWeight) out.emplace_back(u, v, w_[i]);
   return out;
 }
 
@@ -122,47 +125,122 @@ Phase run_phase(CliqueEngine& engine, const CliqueWeights& w,
     }
   const std::size_t m = leaders.size();
   std::vector<std::vector<VertexId>> members(m);
-  for (VertexId v = 0; v < n; ++v) members[pos_of[cluster_of[v]]].push_back(v);
+  std::vector<std::uint32_t> pos(n);  // roster position of v's cluster
+  for (VertexId v = 0; v < n; ++v) {
+    pos[v] = pos_of[cluster_of[v]];
+    members[pos[v]].push_back(v);
+  }
+  // The padding rule below needs every label to be its cluster's minimum
+  // member, as the initial identity labels and the R4/R5 relabel make it.
+  for (std::size_t p = 0; p < m; ++p)
+    check(leaders[p] == members[p].front(),
+          "cc_mst: a cluster's label must be its minimum member");
   Phase phase;
   if (m <= 1) return phase;
   std::size_t s = std::numeric_limits<std::size_t>::max();
   for (const auto& list : members) s = std::min(s, list.size());
+  // Quota of candidates per leader. With standard links it is s (one
+  // candidate per member relay); with B-message links each member carries
+  // B candidates, so the quota is s*B and cluster sizes grow by
+  // s*(quota+1) >= B*s^2 per phase — the "O(log 1/eps) rounds with
+  // n^eps-bit messages" extension Lotker et al. note and the paper quotes
+  // (Section 1.1).
+  const std::size_t bandwidth = engine.messages_per_link();
+  const std::size_t quota = std::min<std::size_t>(s * bandwidth, m - 1);
 
-  // --- R1: per-node lightest edge into every other cluster -> that
-  // cluster's leader. Leaders aggregate the lightest inter-cluster edges.
-  // best[p * m + q] is the lightest edge between clusters p and q
-  // (positions). Edge keys do not depend on endpoint order, so row p, filled
-  // here contiguously by p's own members, equals what leader p aggregates
-  // from the reports of q's members. Only the diagonal keeps the
-  // unreported sentinel, whose key exceeds every real edge's.
-  WeightedEdge unreported;
-  unreported.u = unreported.v = std::numeric_limits<VertexId>::max();
-  unreported.w = kInfiniteWeight;
-  std::vector<WeightedEdge> best(m * m, unreported);
-  std::uint64_t r1_messages = 0;
+  // Finite adjacency of this phase in both directions, from one walk of the
+  // weight triangle: first[u]..first[u + 1] indexes u's arcs.
+  struct Arc {
+    VertexId to;
+    std::uint32_t w;
+  };
+  std::vector<std::size_t> first(n + 1, 0);
+  std::vector<Arc> arcs;
+  {
+    const std::vector<WeightedEdge> edges = w.finite_edges();
+    for (const auto& e : edges) {
+      ++first[e.u + 1];
+      ++first[e.v + 1];
+    }
+    for (VertexId v = 0; v < n; ++v) first[v + 1] += first[v];
+    arcs.resize(first[n]);
+    std::vector<std::size_t> next(first.begin(), first.end() - 1);
+    for (const auto& e : edges) {
+      const auto weight = static_cast<std::uint32_t>(e.w);
+      arcs[next[e.u]++] = {e.v, weight};
+      arcs[next[e.v]++] = {e.u, weight};
+    }
+  }
+
+  // --- R1: every node reports its lightest edge into every other cluster
+  // to that cluster's leader; leader p keeps, per cluster q, the lightest
+  // edge between p and q, and selects its `quota` lightest (its candidates
+  // for R2/R3). Edge keys do not depend on endpoint order, so row p is
+  // computed here from p's own members. Only finite edges are visited: a
+  // leader is its cluster's minimum member, so when p and q share no finite
+  // edge their lightest edge is the padding edge (inf, min(a_p, a_q),
+  // max(a_p, a_q)). Those sort after every finite edge and, within a row,
+  // by a_q ascending, which is roster order.
+  constexpr VertexId coordinator = 0;
+  struct Candidate {
+    std::uint32_t from;  // cluster positions
+    std::uint32_t to;
+    WeightedEdge e;
+  };
+  // Row p holds candidates [p * quota, (p + 1) * quota), lightest first.
+  std::vector<Candidate> candidates;
+  candidates.reserve(m * quota);
   {
     TraceScope r1{engine, "r1-lightest-exchange"};
-    for (VertexId u = 0; u < n; ++u) {
-      const std::uint32_t cu = pos_of[cluster_of[u]];
-      for (std::size_t q = 0; q < m; ++q) {
-        if (q == cu) continue;
-        // Lightest edge from u into cluster q (clique: always exists,
-        // possibly infinite).
-        const auto& list = members[q];
-        WeightedEdge lightest = w.edge(u, list.front());
-        for (std::size_t i = 1; i < list.size(); ++i) {
-          const WeightedEdge cand = w.edge(u, list[i]);
-          if (lighter(cand, lightest)) lightest = cand;
+    // Row scratch: row_of[q] == p marks cluster q as touched by row p, with
+    // its lightest edge so far at row[slot[q]].
+    std::vector<std::uint32_t> row_of(m, kNotLeader);
+    std::vector<std::uint32_t> slot(m);
+    struct Lightest {
+      std::uint32_t to;
+      WeightedEdge e;
+    };
+    std::vector<Lightest> row;
+    for (std::uint32_t p = 0; p < m; ++p) {
+      row.clear();
+      for (VertexId u : members[p])
+        for (std::size_t i = first[u]; i < first[u + 1]; ++i) {
+          const Arc arc = arcs[i];
+          const std::uint32_t q = pos[arc.to];
+          if (q == p) continue;
+          const WeightedEdge e{u, arc.to, arc.w};
+          if (row_of[q] != p) {
+            row_of[q] = p;
+            slot[q] = static_cast<std::uint32_t>(row.size());
+            row.push_back({q, e});
+          } else if (lighter(e, row[slot[q]].e)) {
+            row[slot[q]].e = e;
+          }
         }
-        if (u != leaders[q]) ++r1_messages;  // message u -> leader (3 words)
-        WeightedEdge& cell = best[cu * m + q];
-        if (lighter(lightest, cell)) cell = lightest;
-      }
+      // Keys within a row are distinct, so the selection does not depend on
+      // the order the arcs were visited in.
+      const std::size_t keep = std::min(quota, row.size());
+      std::partial_sort(row.begin(), row.begin() + keep, row.end(),
+                        [](const Lightest& a, const Lightest& b) {
+                          return lighter(a.e, b.e);
+                        });
+      for (std::size_t j = 0; j < keep; ++j)
+        candidates.push_back({p, row[j].to, row[j].e});
+      // Fewer finite edges than the quota: pad with the untouched clusters
+      // in roster order.
+      for (std::uint32_t q = 0; candidates.size() < (p + 1) * quota; ++q)
+        if (q != p && row_of[q] != p)
+          candidates.push_back(
+              {p, q, WeightedEdge{leaders[p], leaders[q], kInfiniteWeight}});
     }
     const bool all_singletons = (s == 1 && m == n);
     if (!all_singletons) {
-      // Schedule validity: node u sends at most one message per (distinct)
-      // leader; each leader receives at most one message per sender.
+      // Node u sends one 3-word message to each of the m - 1 foreign
+      // leaders (a node never leads a foreign cluster). Schedule validity:
+      // u sends at most one message per (distinct) leader; each leader
+      // receives at most one message per sender.
+      const std::uint64_t r1_messages =
+          static_cast<std::uint64_t>(n) * (m - 1);
       engine.charge_verified_round(r1_messages, r1_messages * 3);
       if (engine.has_observer())
         for (VertexId u = 0; u < n; ++u)
@@ -179,43 +257,15 @@ Phase run_phase(CliqueEngine& engine, const CliqueWeights& w,
     // its incident weights locally; R1 would be n(n-1) redundant messages.)
   }
 
-  // --- R2/R3: each leader picks its quota of lightest outgoing edges to
-  // distinct clusters and relays them through its members to v* = node 0.
-  // With standard links the quota is s (one candidate per member relay);
-  // with B-message links each member carries B candidates, so the quota is
-  // s*B and cluster sizes grow by s*(quota+1) >= B*s^2 per phase — the
-  // "O(log 1/eps) rounds with n^eps-bit messages" extension Lotker et al.
-  // note and the paper quotes (Section 1.1).
-  const VertexId coordinator = 0;
-  const std::size_t bandwidth = engine.messages_per_link();
-  const std::size_t quota = std::min<std::size_t>(s * bandwidth, m - 1);
-  struct Candidate {
-    std::uint32_t from;  // cluster positions
-    std::uint32_t to;
-    WeightedEdge e;
-  };
-  std::vector<Candidate> candidates;
+  // --- R2/R3: each leader relays its candidates through its members to
+  // v* = node 0. Leaders go in roster order: the candidate list decides
+  // relay assignment and the coordinator's merge order.
   std::uint64_t relay_hops = 0;
   {
     TraceScope relay{engine, "r2r3-candidate-relay"};
-    // Leaders go in roster order: the candidate list built here decides
-    // relay assignment and the coordinator's merge order. A row's edges
-    // join distinct cluster pairs, so their keys are distinct and the
-    // lightest `quota` of them do not depend on the order they are listed.
-    std::vector<std::pair<std::uint32_t, WeightedEdge>> outgoing;
-    outgoing.reserve(m - 1);
     for (std::uint32_t p = 0; p < m; ++p) {
-      outgoing.clear();
-      for (std::uint32_t q = 0; q < m; ++q)
-        if (q != p) outgoing.emplace_back(q, best[p * m + q]);
-      const std::size_t take = std::min(quota, outgoing.size());
-      std::partial_sort(outgoing.begin(), outgoing.begin() + take,
-                        outgoing.end(), [](const auto& a, const auto& b) {
-                          return lighter(a.second, b.second);
-                        });
       const VertexId leader = leaders[p];
-      for (std::size_t j = 0; j < take; ++j) {
-        candidates.push_back({p, outgoing[j].first, outgoing[j].second});
+      for (std::size_t j = 0; j < quota; ++j) {
         // Hop 1: leader -> relay member (each member carries up to `bandwidth`
         // candidates; skipped when the leader is that member); hop 2:
         // member -> coordinator (skipped for the coordinator itself).

@@ -31,6 +31,10 @@
 //   R4-5 v* disseminates the merge list with a spray broadcast (send edge i
 //       to helper i, helpers rebroadcast); every node updates F/T locally.
 //
+// The simulation of R1-R3 visits only finite edges: a cluster's label is its
+// minimum member, so two clusters that share no finite edge meet at the
+// padding edge (inf, min label, max label), which needs no lookup.
+//
 // Five rounds per phase; ceil(log log n) + O(1) phases to a single cluster.
 // Used by the paper both as a full MST algorithm (the O(log log n) baseline
 // our benchmarks compare against) and as the REDUCECOMPONENTS preprocessor
@@ -66,7 +70,8 @@ class CliqueWeights {
   void set(VertexId u, VertexId v, Weight w);
   WeightedEdge edge(VertexId u, VertexId v) const;
 
-  /// All finite-weight edges.
+  /// All finite-weight edges, u ascending, then v ascending (one sequential
+  /// walk of the triangle).
   std::vector<WeightedEdge> finite_edges() const;
 
  private:

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 
 #include "core/gc.hpp"
@@ -158,6 +160,89 @@ TEST(Lotker, EveryNodeKnowsTheTree) {
   const auto state = cc_mst_full(engine, CliqueWeights::from_graph(g));
   for (const auto& e : state.tree_edges)
     EXPECT_EQ(g.edge_weight(e.u, e.v), std::optional<Weight>{e.w});
+}
+
+// A random partition of 0..n-1 into at most k clusters, each labelled by
+// its minimum member (the labels CC-MST itself maintains).
+std::vector<VertexId> min_labelled_partition(std::uint32_t n, std::uint32_t k,
+                                             Rng& rng) {
+  std::vector<VertexId> group(n);
+  std::vector<VertexId> min_of(k, std::numeric_limits<VertexId>::max());
+  for (VertexId v = 0; v < n; ++v) {
+    group[v] = static_cast<VertexId>(rng.next_below(k));
+    min_of[group[v]] = std::min(min_of[group[v]], v);
+  }
+  std::vector<VertexId> label(n);
+  for (VertexId v = 0; v < n; ++v) label[v] = min_of[group[v]];
+  return label;
+}
+
+TEST(LotkerPadding, LightestPairEdgeIsFiniteElsePadding) {
+  // The rule R1 rests on: between clusters labelled a and b (their minimum
+  // members) the lightest clique edge by key is the lightest finite edge
+  // if they share one, else the padding edge (inf, min(a, b), max(a, b)).
+  // Within a row, padding edges then sort by the other cluster's label.
+  Rng rng{4242};
+  for (const std::uint32_t n : {12u, 40u})
+    for (const double density : {0.05, 0.3, 0.9})
+      for (const std::uint32_t k : {2u, 5u, n / 2}) {
+        const Graph g = gnp(n, density, rng);
+        const CliqueWeights inputs[] = {
+            CliqueWeights::unit_from_graph(g),
+            CliqueWeights::from_graph(random_weights(g, 1 << 16, rng))};
+        const auto label = min_labelled_partition(n, k, rng);
+        for (const CliqueWeights& w : inputs) {
+          std::map<std::pair<VertexId, VertexId>, WeightedEdge> all, finite;
+          auto relax = [](auto& table, std::pair<VertexId, VertexId> pair,
+                          const WeightedEdge& e) {
+            const auto [it, fresh] = table.emplace(pair, e);
+            if (!fresh && weight_less(e, it->second)) it->second = e;
+          };
+          for (VertexId u = 0; u < n; ++u)
+            for (VertexId x = u + 1; x < n; ++x) {
+              if (label[u] == label[x]) continue;
+              const std::pair pair{std::min(label[u], label[x]),
+                                   std::max(label[u], label[x])};
+              relax(all, pair, w.edge(u, x));
+              if (w.finite(u, x)) relax(finite, pair, w.edge(u, x));
+            }
+          std::map<VertexId, std::vector<WeightedEdge>> padding_row;
+          for (const auto& [pair, lightest] : all) {
+            const auto it = finite.find(pair);
+            const WeightedEdge rule =
+                it != finite.end()
+                    ? it->second
+                    : WeightedEdge{pair.first, pair.second, kInfiniteWeight};
+            EXPECT_EQ(lightest, rule)
+                << "n=" << n << " clusters " << pair.first << ","
+                << pair.second;
+            if (it == finite.end()) {
+              padding_row[pair.first].push_back(lightest);
+              padding_row[pair.second].push_back(lightest);
+            }
+          }
+          // Sorted by key, row a's padding edges name the other clusters in
+          // ascending label order (roster order).
+          for (auto& [a, row] : padding_row) {
+            std::sort(row.begin(), row.end(), weight_less);
+            std::vector<VertexId> others;
+            for (const auto& e : row) others.push_back(e.u == a ? e.v : e.u);
+            EXPECT_TRUE(std::is_sorted(others.begin(), others.end()))
+                << "row " << a;
+          }
+        }
+      }
+}
+
+TEST(LotkerPadding, LabelThatIsNotTheMinimumMemberThrows) {
+  Rng rng{5};
+  const auto weights = CliqueWeights::unit_from_graph(gnp(6, 0.5, rng));
+  CliqueEngine engine{{.n = 6}};
+  LotkerState state = cc_mst_initial_state(6);
+  state.cluster_of = {1, 1, 2, 3, 4, 5};  // cluster {0, 1} labelled 1
+  EXPECT_THROW(cc_mst_step(engine, weights, state), std::logic_error);
+  state.cluster_of = {2, 2, 2, 3, 4, 5};  // cluster {0, 1, 2} labelled 2
+  EXPECT_THROW(cc_mst_step(engine, weights, state), std::logic_error);
 }
 
 // Golden pins for CC-MST phases. After phases 1 and 3, each case records
