@@ -213,13 +213,14 @@ std::vector<Event> FlightRecorder::collect() const {
       for (int attempt = 0; attempt < 4 && !consistent; ++attempt) {
         const std::uint64_t v1 = s.ver.load(std::memory_order_seq_cst);
         if ((v1 & 1u) != 0) continue;  // writer mid-rewrite
-        e.seq = s.w[0].load(std::memory_order_relaxed);
-        e.rid = s.w[1].load(std::memory_order_relaxed);
-        e.request = s.w[2].load(std::memory_order_relaxed);
-        e.value = s.w[3].load(std::memory_order_relaxed);
-        e.latency_ns = s.w[4].load(std::memory_order_relaxed);
-        unpack_meta(s.w[5].load(std::memory_order_relaxed), e);
-        std::atomic_thread_fence(std::memory_order_acquire);
+        // Acquire payload loads keep the re-check of `ver` after every one
+        // of them (no standalone fence: TSan does not model fences).
+        e.seq = s.w[0].load(std::memory_order_acquire);
+        e.rid = s.w[1].load(std::memory_order_acquire);
+        e.request = s.w[2].load(std::memory_order_acquire);
+        e.value = s.w[3].load(std::memory_order_acquire);
+        e.latency_ns = s.w[4].load(std::memory_order_acquire);
+        unpack_meta(s.w[5].load(std::memory_order_acquire), e);
         consistent = s.ver.load(std::memory_order_seq_cst) == v1;
       }
       if (consistent && e.seq != 0) out.push_back(e);
