@@ -270,6 +270,14 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t word) {
   return h;
 }
 
+// Digest of the observer's (src, dst) sequence, hooked into `engine`.
+void digest_observer(CliqueEngine& engine, std::uint64_t& observed) {
+  observed = 0xcbf29ce484222325ULL;
+  engine.set_observer([&observed](VertexId s, VertexId d) {
+    observed = fnv_mix(observed, (static_cast<std::uint64_t>(s) << 32) | d);
+  });
+}
+
 void expect_phase_pin(const LotkerState& state, const Metrics& m,
                       std::uint64_t observed, const PhasePin& pin) {
   std::uint64_t tree = 0xcbf29ce484222325ULL;
@@ -353,11 +361,8 @@ TEST(LotkerGolden, PhasesOneAndThree) {
       for (const std::uint32_t per_link :
            {1u, 4u, wide_bandwidth_messages_per_link(n)}) {
         CliqueEngine engine{{.n = n, .messages_per_link = per_link}};
-        std::uint64_t observed = 0xcbf29ce484222325ULL;
-        engine.set_observer([&](VertexId s, VertexId d) {
-          observed =
-              fnv_mix(observed, (static_cast<std::uint64_t>(s) << 32) | d);
-        });
+        std::uint64_t observed = 0;
+        digest_observer(engine, observed);
         LotkerState state = cc_mst_initial_state(n);
         for (std::uint32_t phase = 1; phase <= 3; ++phase) {
           cc_mst_step(engine, input, state);
@@ -370,14 +375,6 @@ TEST(LotkerGolden, PhasesOneAndThree) {
     }
   }
   EXPECT_EQ(pin, std::end(pins));
-}
-
-// Digest of the observer's (src, dst) sequence, hooked into `engine`.
-void digest_observer(CliqueEngine& engine, std::uint64_t& observed) {
-  observed = 0xcbf29ce484222325ULL;
-  engine.set_observer([&observed](VertexId s, VertexId d) {
-    observed = fnv_mix(observed, (static_cast<std::uint64_t>(s) << 32) | d);
-  });
 }
 
 TEST(LotkerGolden, DisconnectedSparseUnit) {
