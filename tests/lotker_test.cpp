@@ -4,8 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <string>
 
 #include "core/gc.hpp"
+#include "core/reduce_components.hpp"
 #include "graph/generators.hpp"
 #include "graph/sequential.hpp"
 #include "graph/verify.hpp"
@@ -500,6 +502,150 @@ TEST(LotkerGolden, GcVerifyConnectivity) {
       EXPECT_EQ(observed, pin->observed_digest);
       ++pin;
     }
+  }
+  EXPECT_EQ(pin, std::end(pins));
+}
+
+// Golden pins for the three GC entry points on disconnected sparse unit
+// inputs (most clique pairs are non-edges). Each pin is one line: the
+// result's own fields, the forest or label digest, the engine Metrics and
+// the observer digest, so a mismatch prints the whole new line.
+struct GcInput {
+  std::uint32_t n;
+  Graph g;
+};
+
+std::vector<GcInput> disconnected_sparse_inputs() {
+  std::vector<GcInput> out;
+  for (const std::uint32_t n : {300u, 1024u}) {
+    Rng rng{1300 + n};
+    out.push_back({n, random_components(n, 3, n / 16, rng)});
+  }
+  return out;
+}
+
+std::string metrics_pin(const Metrics& m, std::uint64_t observed) {
+  return "rounds=" + std::to_string(m.rounds) +
+         " messages=" + std::to_string(m.messages) +
+         " words=" + std::to_string(m.words) +
+         " peak=" + std::to_string(m.max_messages_in_round) +
+         " observed=" + std::to_string(observed);
+}
+
+std::uint64_t edge_digest(const std::vector<Edge>& edges) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto& e : edges) h = fnv_mix(fnv_mix(h, e.u), e.v);
+  return h;
+}
+
+TEST(GcGolden, ReduceComponentsDisconnectedSparse) {
+  // In loop order n, phase count (default, then one phase: unfinished trees
+  // remain and the component graph has edges).
+  const char* const pins[] = {
+      "phases=3 forest=297/12213616665496256552 labels=16167059774093591077 "
+      "leaders=3 active=0 witness=14695981039346656037 rounds=15 "
+      "messages=120180 words=361320 peak=64883 observed=4932310265418257661",
+      "phases=1 forest=217/14522492519226280514 labels=12420750333379140204 "
+      "leaders=83 active=83 witness=4090269942607311090 rounds=5 "
+      "messages=65591 words=197072 peak=64883 observed=2292651345093453719",
+      "phases=4 forest=1021/4622782435065356512 labels=16965992262849463200 "
+      "leaders=3 active=0 witness=14695981039346656037 rounds=20 "
+      "messages=1424955 words=4277484 peak=735537 "
+      "observed=7860167052803363870",
+      "phases=1 forest=719/14500052184066018181 labels=11764813256308211437 "
+      "leaders=305 active=305 witness=1389057787515411355 rounds=5 "
+      "messages=738003 words=2215032 peak=735537 "
+      "observed=863177408574148957",
+  };
+  const char* const* pin = pins;
+  for (const GcInput& in : disconnected_sparse_inputs())
+    for (const std::uint32_t phases : {0u, 1u}) {
+      CliqueEngine engine{{.n = in.n}};
+      std::uint64_t observed = 0;
+      digest_observer(engine, observed);
+      const ReduceComponentsResult r = reduce_components(engine, in.g, phases);
+      std::uint64_t labels = 0xcbf29ce484222325ULL;
+      for (VertexId c : r.leader_of) labels = fnv_mix(labels, c);
+      std::uint64_t witness = 0xcbf29ce484222325ULL;
+      for (const auto& [pair, e] : r.component_graph.witness)
+        witness = fnv_mix(fnv_mix(fnv_mix(witness, pair.first), pair.second),
+                          (std::uint64_t{e.u} << 32) | e.v);
+      const std::string line =
+          "phases=" + std::to_string(r.lotker_phases) +
+          " forest=" + std::to_string(r.forest.size()) + "/" +
+          std::to_string(edge_digest(r.forest)) +
+          " labels=" + std::to_string(labels) +
+          " leaders=" + std::to_string(r.component_graph.leaders.size()) +
+          " active=" +
+          std::to_string(r.component_graph.active_leaders.size()) +
+          " witness=" + std::to_string(witness) + " " +
+          metrics_pin(engine.metrics(), observed);
+      EXPECT_EQ(line, *pin++) << "n=" << in.n << " phases=" << phases;
+    }
+  EXPECT_EQ(pin, std::end(pins));
+}
+
+TEST(GcGolden, SpanningForestDisconnectedSparse) {
+  // In loop order n, phase count (default, then one phase).
+  const char* const pins[] = {
+      "connected=0 monte_carlo_ok=1 phases=3 unfinished=0 "
+      "forest=297/12213616665496256552 rounds=15 messages=120180 "
+      "words=361320 peak=64883 observed=4932310265418257661",
+      "connected=0 monte_carlo_ok=1 phases=1 unfinished=83 "
+      "forest=297/9023405536212534277 rounds=234 messages=605275 "
+      "words=996055 peak=89700 observed=5202951472518447905",
+      "connected=0 monte_carlo_ok=1 phases=4 unfinished=0 "
+      "forest=1021/4622782435065356512 rounds=20 messages=1424955 "
+      "words=4277484 peak=735537 observed=7860167052803363870",
+      "connected=0 monte_carlo_ok=1 phases=1 unfinished=305 "
+      "forest=1021/13711465555314870222 rounds=317 messages=3582679 "
+      "words=6700544 peak=1047552 observed=6529688350815282703",
+  };
+  const char* const* pin = pins;
+  for (const GcInput& in : disconnected_sparse_inputs())
+    for (const std::uint32_t phases : {0u, 1u}) {
+      CliqueEngine engine{{.n = in.n}};
+      std::uint64_t observed = 0;
+      digest_observer(engine, observed);
+      Rng rng{in.n};
+      const GcResult r = gc_spanning_forest(engine, in.g, rng, phases);
+      EXPECT_TRUE(verify_spanning_forest(in.g, r.forest).ok) << "n=" << in.n;
+      const std::string line =
+          "connected=" + std::to_string(r.connected) +
+          " monte_carlo_ok=" + std::to_string(r.monte_carlo_ok) +
+          " phases=" + std::to_string(r.lotker_phases) +
+          " unfinished=" + std::to_string(r.unfinished_trees_after_phase1) +
+          " forest=" + std::to_string(r.forest.size()) + "/" +
+          std::to_string(edge_digest(r.forest)) + " " +
+          metrics_pin(engine.metrics(), observed);
+      EXPECT_EQ(line, *pin++) << "n=" << in.n << " phases=" << phases;
+    }
+  EXPECT_EQ(pin, std::end(pins));
+}
+
+TEST(GcGolden, VerifyConnectivityDisconnectedSparse) {
+  const char* const pins[] = {
+      "connected=0 early_exit=1 phases=3 monte_carlo_ok=1 rounds=17 "
+      "messages=120419 words=362037 peak=64883 "
+      "observed=12480786893440605695",
+      "connected=0 early_exit=1 phases=3 monte_carlo_ok=1 rounds=17 "
+      "messages=1417708 words=4255709 peak=735537 "
+      "observed=18395202341760837334",
+  };
+  const char* const* pin = pins;
+  for (const GcInput& in : disconnected_sparse_inputs()) {
+    CliqueEngine engine{{.n = in.n}};
+    std::uint64_t observed = 0;
+    digest_observer(engine, observed);
+    Rng rng{in.n};
+    const GcVerifyResult r = gc_verify_connectivity(engine, in.g, rng);
+    const std::string line =
+        "connected=" + std::to_string(r.connected) +
+        " early_exit=" + std::to_string(r.early_exit) +
+        " phases=" + std::to_string(r.phases_run) +
+        " monte_carlo_ok=" + std::to_string(r.monte_carlo_ok) + " " +
+        metrics_pin(engine.metrics(), observed);
+    EXPECT_EQ(line, *pin++) << "n=" << in.n;
   }
   EXPECT_EQ(pin, std::end(pins));
 }
