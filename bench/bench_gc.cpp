@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   for (std::uint32_t n : {64u, 128u, 256u, 512u, 1024u}) {
     Rng rng{n};
     const auto g = random_connected(n, 2 * n, rng);
-    const auto unit = CliqueWeights::unit_from_graph(g);
+    const FiniteAdjacency unit{g};  // unit weights on E(G)
 
     CliqueEngine engine{{.n = n}};
     auto gc = gc_spanning_forest(engine, g, rng);

@@ -27,7 +27,8 @@ int main(int argc, char** argv) {
     Rng rng{n};
     const auto g = random_weighted_clique(n, rng);
     CliqueEngine engine{{.n = n}};
-    const auto state = cc_mst_full(engine, CliqueWeights::from_graph(g));
+    const auto state =
+        cc_mst_full(engine, FiniteAdjacency{CliqueWeights::from_graph(g)});
     const auto ok = verify_msf(g, state.tree_edges).ok;
     const double loglog =
         std::ceil(std::log2(std::log2(static_cast<double>(n))));
@@ -49,10 +50,10 @@ int main(int argc, char** argv) {
     const std::uint32_t n = 1024;
     Rng rng{7};
     const auto g = random_weighted_clique(n, rng);
-    const auto weights = CliqueWeights::from_graph(g);
+    const FiniteAdjacency input{CliqueWeights::from_graph(g)};
     for (std::uint32_t k = 1; k <= 5; ++k) {
       CliqueEngine engine{{.n = n}};
-      const auto state = cc_mst_phases(engine, weights, k);
+      const auto state = cc_mst_phases(engine, input, k);
       const double bound = std::pow(2.0, std::pow(2.0, k - 1));
       growth.row({bench::fmt(k), bench::fmt(state.num_clusters()),
                   bench::fmt(state.min_cluster_size()),
@@ -74,11 +75,11 @@ int main(int argc, char** argv) {
     const std::uint32_t n = 1024;
     Rng rng{11};
     const auto g = random_weighted_clique(n, rng);
-    const auto weights = CliqueWeights::from_graph(g);
+    const FiniteAdjacency input{CliqueWeights::from_graph(g)};
     std::uint32_t prev_phases = ~0u;
     for (std::uint32_t b : {1u, 4u, 16u, 64u}) {
       CliqueEngine engine{{.n = n, .messages_per_link = b}};
-      const auto state = cc_mst_full(engine, weights);
+      const auto state = cc_mst_full(engine, input);
       const bool ok = verify_msf(g, state.tree_edges).ok;
       bandwidth.row({bench::fmt(b), bench::fmt(state.phases_run),
                      bench::fmt(engine.metrics().rounds), ok ? "yes" : "NO"});

@@ -33,6 +33,7 @@ int main(int argc, char** argv) {
     Rng rng{n};
     const auto g = random_weighted_clique(n, rng);
     const auto weights = CliqueWeights::from_graph(g);
+    const FiniteAdjacency input{weights};
 
     CliqueEngine engine{{.n = n}};
     auto r = exact_mst(engine, weights, rng);
@@ -42,10 +43,10 @@ int main(int argc, char** argv) {
     // random weights it merges faster; the adversarial separation table
     // below uses the tournament clique).
     CliqueEngine boruvka_engine{{.n = n}};
-    const auto boruvka = boruvka_clique_msf(boruvka_engine, weights);
+    const auto boruvka = boruvka_clique_msf(boruvka_engine, input);
 
     CliqueEngine baseline{{.n = n}};
-    const auto lotker = cc_mst_full(baseline, weights);
+    const auto lotker = cc_mst_full(baseline, input);
 
     CliqueEngine wide{
         {.n = n, .messages_per_link = wide_bandwidth_messages_per_link(n)}};
@@ -75,11 +76,11 @@ int main(int argc, char** argv) {
       {"n", "boruvka_phases (log2 n)", "lotker_phases (~loglog n)"}};
   for (std::uint32_t n : {64u, 256u, 1024u}) {
     const auto g = tournament_weighted_clique(n);
-    const auto weights = CliqueWeights::from_graph(g);
+    const FiniteAdjacency input{CliqueWeights::from_graph(g)};
     CliqueEngine be{{.n = n}};
-    const auto boruvka = boruvka_clique_msf(be, weights);
+    const auto boruvka = boruvka_clique_msf(be, input);
     CliqueEngine le{{.n = n}};
-    const auto lotker = cc_mst_full(le, weights);
+    const auto lotker = cc_mst_full(le, input);
     separation.row({bench::fmt(n), bench::fmt(boruvka.phases),
                     bench::fmt(lotker.phases_run)});
     bench::expect(verify_msf(g, boruvka.msf).ok &&

@@ -23,6 +23,7 @@ int run_example(int argc, char** argv) {
 
   const auto g = ccq::random_weighted_clique(n, rng);
   const auto weights = ccq::CliqueWeights::from_graph(g);
+  const ccq::FiniteAdjacency input{weights};
   std::printf("input: weighted clique on n=%u (%zu edges, distinct "
               "weights)\n\n", n, g.num_edges());
 
@@ -31,7 +32,7 @@ int run_example(int argc, char** argv) {
   const std::uint32_t phases = ccq::reduce_components_phases(n);
   for (std::uint32_t k = 1; k <= phases; ++k) {
     ccq::CliqueEngine probe{{.n = n}};
-    const auto state = ccq::cc_mst_phases(probe, weights, k);
+    const auto state = ccq::cc_mst_phases(probe, input, k);
     std::printf("  after phase %u: %u clusters (min size %u)\n", k,
                 state.num_clusters(), state.min_cluster_size());
     if (state.num_clusters() <= 1) break;
@@ -42,7 +43,7 @@ int run_example(int argc, char** argv) {
   std::printf("\nStage 2 — the main phase, after a deliberately shallow "
               "(1-phase) preprocessing:\n");
   ccq::CliqueEngine engine{{.n = n}};
-  const auto shallow = ccq::cc_mst_phases(engine, weights, 1);
+  const auto shallow = ccq::cc_mst_phases(engine, input, 1);
   std::vector<ccq::VertexId> leader_of(n);
   {
     ccq::UnionFind uf{n};
@@ -53,7 +54,7 @@ int run_example(int argc, char** argv) {
     for (ccq::VertexId v = 0; v < n; ++v) leader_of[v] = min_of[uf.find(v)];
   }
   const auto g1 = ccq::build_component_graph_weighted(
-      engine, weights.finite_edges(), n, leader_of);
+      engine, input.edges(), n, leader_of);
   std::vector<ccq::WeightedEdge> g1_edges;
   for (const auto& [pair, witness] : g1.witness)
     g1_edges.emplace_back(pair.first, pair.second, witness.w);

@@ -1,9 +1,8 @@
 #include "baseline/boruvka_clique.hpp"
 
+#include <algorithm>
 #include <limits>
-#include <map>
 #include <optional>
-#include <unordered_map>
 
 #include "comm/primitives.hpp"
 #include "comm/routing.hpp"
@@ -21,8 +20,8 @@ bool lighter(const WeightedEdge& a, const WeightedEdge& b) {
 }  // namespace
 
 BoruvkaCliqueResult boruvka_clique_msf(CliqueEngine& engine,
-                                       const CliqueWeights& weights) {
-  const std::uint32_t n = weights.n();
+                                       const FiniteAdjacency& input) {
+  const std::uint32_t n = input.n();
   check(engine.n() == n, "boruvka_clique_msf: engine/input size mismatch");
   engine.require_id_knowledge("boruvka_clique_msf");
   BoruvkaCliqueResult result;
@@ -33,29 +32,43 @@ BoruvkaCliqueResult boruvka_clique_msf(CliqueEngine& engine,
   for (VertexId v = 0; v < n; ++v) label[v] = v;
   UnionFind uf{n};
   RoundBuffer mwoe_inbox;  // reused by every phase's R2
+  // R1 scratch: lightest[c] is node u's lightest edge into the component
+  // labelled c, valid where stamp[c] == u + 1.
+  std::vector<std::uint32_t> stamp(n);
+  std::vector<WeightedEdge> lightest(n);
+  std::vector<VertexId> touched;
 
   for (;;) {
-    std::map<VertexId, std::vector<VertexId>> members;
-    for (VertexId v = 0; v < n; ++v) members[label[v]].push_back(v);
-    if (members.size() <= 1) break;
+    std::vector<VertexId> leaders;  // ascending
+    for (VertexId v = 0; v < n; ++v)
+      if (label[v] == v) leaders.push_back(v);
+    if (leaders.size() <= 1) break;
 
     // R1: node -> foreign leader, lightest finite edge into that component.
     // (Finite only: a component whose every outgoing pair is a non-edge is
     // a finished real component.)
-    std::unordered_map<VertexId, std::optional<WeightedEdge>> best;
-    for (const auto& [leader, list] : members) best[leader] = std::nullopt;
+    std::vector<std::optional<WeightedEdge>> best(n);  // by leader
+    std::fill(stamp.begin(), stamp.end(), 0);
     std::uint64_t r1_messages = 0;
     for (VertexId u = 0; u < n; ++u) {
-      const VertexId cu = label[u];
-      for (const auto& [leader, list] : members) {
-        if (leader == cu) continue;
-        std::optional<WeightedEdge> lightest;
-        for (VertexId member : list) {
-          if (!weights.finite(u, member)) continue;
-          const WeightedEdge cand = weights.edge(u, member);
-          if (!lightest || lighter(cand, *lightest)) lightest = cand;
+      touched.clear();
+      for (const FiniteAdjacency::Arc arc : input.arcs(u)) {
+        const VertexId c = label[arc.to];
+        if (c == label[u]) continue;
+        const WeightedEdge cand{u, arc.to, arc.w};
+        if (stamp[c] != u + 1) {
+          stamp[c] = u + 1;
+          lightest[c] = cand;
+          touched.push_back(c);
+        } else if (lighter(cand, lightest[c])) {
+          lightest[c] = cand;
         }
-        if (!lightest) continue;  // "or no message at all"
+      }
+      // Leaders ascending: the observe / attribute_load sequence is
+      // deterministic output. A node without a finite edge into a
+      // component sends it no message at all.
+      std::sort(touched.begin(), touched.end());
+      for (VertexId leader : touched) {
         if (u != leader) {
           ++r1_messages;
           engine.observe(u, leader);
@@ -65,24 +78,19 @@ BoruvkaCliqueResult boruvka_clique_msf(CliqueEngine& engine,
         // (the edge leaves `leader`'s component toward u's), and u's leader
         // will hear about the symmetric direction from members of `leader`.
         auto& slot = best[leader];
-        if (!slot || lighter(*lightest, *slot)) slot = *lightest;
+        if (!slot || lighter(lightest[leader], *slot)) slot = lightest[leader];
       }
     }
     engine.charge_verified_round(r1_messages, r1_messages * 3);
 
     // R2: leaders -> coordinator, one MWOE each (distinct senders).
+    // Leaders ascending: the packet order feeds the coordinator's merge
+    // sequence.
     std::vector<Packet> mwoe;
-    // Iterate the ordered `members` map, not the unordered `best` map: the
-    // packet order feeds the coordinator's merge sequence, which must not
-    // depend on hash iteration for replay to stay bit-identical.
-    for (const auto& [leader, list] : members) {
-      const auto it = best.find(leader);
-      if (it != best.end() && it->second) {
-        const WeightedEdge& edge = *it->second;
+    for (VertexId leader : leaders)
+      if (const auto& edge = best[leader])
         mwoe.push_back({leader, coordinator,
-                        msg3(kTagMwoe, edge.u, edge.v, edge.w)});
-      }
-    }
+                        msg3(kTagMwoe, edge->u, edge->v, edge->w)});
     if (mwoe.empty()) break;  // every remaining component is finished
     route_packets_into(engine, mwoe, mwoe_inbox);
 

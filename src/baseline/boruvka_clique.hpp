@@ -32,10 +32,11 @@ struct BoruvkaCliqueResult {
   std::uint32_t phases{0};
 };
 
-/// Distributed Borůvka on an edge-weighted clique (infinite-weight pairs are
-/// treated as non-edges: the output is the minimum spanning forest of the
-/// finite part). Deterministic; O(log n) phases of O(1) rounds.
+/// Distributed Borůvka on an edge-weighted clique given by its finite edges
+/// (pairs without an arc are infinite-weight non-edges: the output is the
+/// minimum spanning forest of the finite part). Deterministic; O(log n)
+/// phases of O(1) rounds.
 BoruvkaCliqueResult boruvka_clique_msf(CliqueEngine& engine,
-                                       const CliqueWeights& weights);
+                                       const FiniteAdjacency& input);
 
 }  // namespace ccq

@@ -20,13 +20,16 @@ ExactMstResult run(CliqueEngine& engine, const CliqueWeights& weights,
   engine.require_id_knowledge("exact_mst");
   ExactMstResult result;
   TraceScope scope{engine, "exact-mst"};
+  // The finite pairs, from one walk of the triangle: CC-MST and the
+  // component graph both read only these.
+  const FiniteAdjacency input{weights};
 
   // --- Step 1: CC-MST preprocessing (phases == 0 in the wide variant).
   std::vector<VertexId> leader_of(n);
   for (VertexId v = 0; v < n; ++v) leader_of[v] = v;
   if (phases > 0) {
     TraceScope step{engine, "cc-mst-preprocess"};
-    const LotkerState state = cc_mst_phases(engine, weights, phases);
+    const LotkerState state = cc_mst_phases(engine, input, phases);
     result.lotker_phases = state.phases_run;
     // Keep the finite-weight selections (infinite "padding" edges appear
     // only when the finite part of the input is disconnected; discarding
@@ -53,7 +56,7 @@ ExactMstResult run(CliqueEngine& engine, const CliqueWeights& weights,
   ComponentGraph g1;
   {
     TraceScope step{engine, "contract-component-graph"};
-    g1 = build_component_graph_weighted(engine, weights.finite_edges(), n,
+    g1 = build_component_graph_weighted(engine, input.edges(), n,
                                         leader_of);
   }
   std::vector<WeightedEdge> g1_edges;  // leader-space edges

@@ -65,7 +65,7 @@ GcVerifyResult gc_verify_connectivity(CliqueEngine& engine, const Graph& g,
     return out;
   }
   TraceScope scope{engine, "gc-verify"};
-  const CliqueWeights weights = CliqueWeights::unit_from_graph(g);
+  const FiniteAdjacency input{g};  // unit weights on E(G)
   LotkerState state = cc_mst_initial_state(n);
   const std::uint32_t phases = reduce_components_phases(n);
   // Labels of the *finite* forest (infinite padding merges ignored),
@@ -86,7 +86,7 @@ GcVerifyResult gc_verify_connectivity(CliqueEngine& engine, const Graph& g,
   };
   ComponentGraph g1;
   for (std::uint32_t k = 0; k < phases; ++k) {
-    cc_mst_step(engine, weights, state);
+    cc_mst_step(engine, input, state);
     out.phases_run = state.phases_run;
     const auto label = finite_labels();
     g1 = build_component_graph(engine, g, label);  // +1 round per phase

@@ -15,13 +15,14 @@ ReduceComponentsResult reduce_components(CliqueEngine& engine, const Graph& g,
   TraceScope scope{engine, "reduce-components"};
   ReduceComponentsResult out;
 
-  // Step 1: unit weights on E(G), infinity elsewhere.
-  const CliqueWeights weights = CliqueWeights::unit_from_graph(g);
+  // Step 1: unit weights on E(G), infinity elsewhere. Only the finite part
+  // is stored: the adjacency of G itself.
+  const FiniteAdjacency input{g};
 
   // Step 2: CC-MST for ceil(log log log n) + 3 phases.
   const std::uint32_t phases =
       phase_override > 0 ? phase_override : reduce_components_phases(n);
-  const LotkerState state = cc_mst_phases(engine, weights, phases);
+  const LotkerState state = cc_mst_phases(engine, input, phases);
   out.lotker_phases = state.phases_run;
 
   // Step 3: discard the infinite-weight (non-)edges CC-MST selected. By

@@ -34,12 +34,6 @@ CliqueWeights CliqueWeights::from_graph(const WeightedGraph& g) {
   return cw;
 }
 
-CliqueWeights CliqueWeights::unit_from_graph(const Graph& g) {
-  CliqueWeights cw{g.num_vertices()};
-  for (const auto& e : g.edges()) cw.set(e.u, e.v, 1);
-  return cw;
-}
-
 Weight CliqueWeights::at(VertexId u, VertexId v) const {
   const std::uint32_t stored = w_[slot(u, v)];
   return stored == kNoWeight ? kInfiniteWeight : stored;
@@ -61,14 +55,46 @@ WeightedEdge CliqueWeights::edge(VertexId u, VertexId v) const {
   return WeightedEdge{u, v, at(u, v)};
 }
 
-std::vector<WeightedEdge> CliqueWeights::finite_edges() const {
-  // One sequential walk of the triangle: slot(u, v), u < v, runs through
-  // w_ in (u, v) order.
-  std::vector<WeightedEdge> out;
-  std::size_t i = 0;
+FiniteAdjacency::FiniteAdjacency(const Graph& g)
+    : n_(g.num_vertices()), first_(n_ + 1, 0) {
+  for (VertexId u = 0; u < n_; ++u) first_[u + 1] = first_[u] + g.degree(u);
+  arcs_.reserve(first_[n_]);
   for (VertexId u = 0; u < n_; ++u)
+    for (VertexId v : g.neighbors(u)) arcs_.push_back({v, 1});
+}
+
+FiniteAdjacency::FiniteAdjacency(const CliqueWeights& weights)
+    : n_(weights.n()), first_(n_ + 1, 0) {
+  // One sequential walk of the triangle (slot(u, v), u < v, runs through w_
+  // in (u, v) order). Row u's arcs to lower nodes precede its arcs to higher
+  // ones; the walk has counted the former (below[u]) by the time it reaches
+  // row u, so it leaves a gap for them and appends the latter after it.
+  std::vector<std::uint32_t> below(n_, 0);
+  std::size_t i = 0;
+  for (VertexId u = 0; u < n_; ++u) {
+    first_[u] = arcs_.size();
+    arcs_.resize(arcs_.size() + below[u]);
     for (VertexId v = u + 1; v < n_; ++v, ++i)
-      if (w_[i] != kNoWeight) out.emplace_back(u, v, w_[i]);
+      if (weights.w_[i] != kNoWeight) {
+        arcs_.push_back({v, weights.w_[i]});
+        ++below[v];
+      }
+  }
+  first_[n_] = arcs_.size();
+  // Fill the gaps by mirroring every upward arc, rows ascending, so each
+  // row stays sorted by neighbour.
+  std::vector<std::size_t> next(first_.begin(), first_.end() - 1);
+  for (VertexId u = 0; u < n_; ++u)
+    for (std::size_t k = first_[u] + below[u]; k < first_[u + 1]; ++k)
+      arcs_[next[arcs_[k].to]++] = {u, arcs_[k].w};
+}
+
+std::vector<WeightedEdge> FiniteAdjacency::edges() const {
+  std::vector<WeightedEdge> out;
+  out.reserve(arcs_.size() / 2);
+  for (VertexId u = 0; u < n_; ++u)
+    for (const Arc& arc : arcs(u))
+      if (arc.to > u) out.emplace_back(u, arc.to, arc.w);
   return out;
 }
 
@@ -104,13 +130,14 @@ struct Phase {
   std::vector<WeightedEdge> merge_edges;  // accepted MST edges
 };
 
-/// One CC-MST phase; mutates `cluster_of` / `members` bookkeeping at every
-/// node (all nodes track the same state, per Theorem 2(ii)).
-Phase run_phase(CliqueEngine& engine, const CliqueWeights& w,
+/// One CC-MST phase; mutates the `cluster_of` bookkeeping at every node (all
+/// nodes track the same state, per Theorem 2(ii)).
+Phase run_phase(CliqueEngine& engine, const FiniteAdjacency& input,
                 std::vector<VertexId>& cluster_of) {
-  const std::uint32_t n = w.n();
+  const std::uint32_t n = input.n();
   // Cluster roster (known to every node): leaders ascending, pos_of[leader]
-  // the leader's position, members[pos] the cluster's nodes ascending.
+  // the leader's position, members(pos) the cluster's nodes ascending (one
+  // flat array, bucketed by position).
   constexpr auto kNotLeader = std::numeric_limits<std::uint32_t>::max();
   std::vector<std::uint32_t> pos_of(n, kNotLeader);
   for (VertexId v = 0; v < n; ++v) {
@@ -124,21 +151,32 @@ Phase run_phase(CliqueEngine& engine, const CliqueWeights& w,
       leaders.push_back(v);
     }
   const std::size_t m = leaders.size();
-  std::vector<std::vector<VertexId>> members(m);
   std::vector<std::uint32_t> pos(n);  // roster position of v's cluster
+  std::vector<std::uint32_t> member_first(m + 1, 0);
   for (VertexId v = 0; v < n; ++v) {
     pos[v] = pos_of[cluster_of[v]];
-    members[pos[v]].push_back(v);
+    ++member_first[pos[v] + 1];
   }
+  for (std::size_t p = 0; p < m; ++p) member_first[p + 1] += member_first[p];
+  std::vector<VertexId> member_list(n);
+  {
+    std::vector<std::uint32_t> next(member_first.begin(),
+                                    member_first.end() - 1);
+    for (VertexId v = 0; v < n; ++v) member_list[next[pos[v]]++] = v;
+  }
+  const auto members = [&](std::size_t p) {
+    return std::span<const VertexId>{member_list.data() + member_first[p],
+                                     member_list.data() + member_first[p + 1]};
+  };
   // The padding rule below needs every label to be its cluster's minimum
   // member, as the initial identity labels and the R4/R5 relabel make it.
   for (std::size_t p = 0; p < m; ++p)
-    check(leaders[p] == members[p].front(),
+    check(leaders[p] == members(p).front(),
           "cc_mst: a cluster's label must be its minimum member");
   Phase phase;
   if (m <= 1) return phase;
   std::size_t s = std::numeric_limits<std::size_t>::max();
-  for (const auto& list : members) s = std::min(s, list.size());
+  for (std::size_t p = 0; p < m; ++p) s = std::min(s, members(p).size());
   // Quota of candidates per leader. With standard links it is s (one
   // candidate per member relay); with B-message links each member carries
   // B candidates, so the quota is s*B and cluster sizes grow by
@@ -147,30 +185,6 @@ Phase run_phase(CliqueEngine& engine, const CliqueWeights& w,
   // (Section 1.1).
   const std::size_t bandwidth = engine.messages_per_link();
   const std::size_t quota = std::min<std::size_t>(s * bandwidth, m - 1);
-
-  // Finite adjacency of this phase in both directions, from one walk of the
-  // weight triangle: first[u]..first[u + 1] indexes u's arcs.
-  struct Arc {
-    VertexId to;
-    std::uint32_t w;
-  };
-  std::vector<std::size_t> first(n + 1, 0);
-  std::vector<Arc> arcs;
-  {
-    const std::vector<WeightedEdge> edges = w.finite_edges();
-    for (const auto& e : edges) {
-      ++first[e.u + 1];
-      ++first[e.v + 1];
-    }
-    for (VertexId v = 0; v < n; ++v) first[v + 1] += first[v];
-    arcs.resize(first[n]);
-    std::vector<std::size_t> next(first.begin(), first.end() - 1);
-    for (const auto& e : edges) {
-      const auto weight = static_cast<std::uint32_t>(e.w);
-      arcs[next[e.u]++] = {e.v, weight};
-      arcs[next[e.v]++] = {e.u, weight};
-    }
-  }
 
   // --- R1: every node reports its lightest edge into every other cluster
   // to that cluster's leader; leader p keeps, per cluster q, the lightest
@@ -203,9 +217,8 @@ Phase run_phase(CliqueEngine& engine, const CliqueWeights& w,
     std::vector<Lightest> row;
     for (std::uint32_t p = 0; p < m; ++p) {
       row.clear();
-      for (VertexId u : members[p])
-        for (std::size_t i = first[u]; i < first[u + 1]; ++i) {
-          const Arc arc = arcs[i];
+      for (VertexId u : members(p))
+        for (const FiniteAdjacency::Arc arc : input.arcs(u)) {
           const std::uint32_t q = pos[arc.to];
           if (q == p) continue;
           const WeightedEdge e{u, arc.to, arc.w};
@@ -269,7 +282,7 @@ Phase run_phase(CliqueEngine& engine, const CliqueWeights& w,
         // Hop 1: leader -> relay member (each member carries up to `bandwidth`
         // candidates; skipped when the leader is that member); hop 2:
         // member -> coordinator (skipped for the coordinator itself).
-        const VertexId member = members[p][j / bandwidth];
+        const VertexId member = members(p)[j / bandwidth];
         if (member != leader) {
           ++relay_hops;
           engine.observe(leader, member);
@@ -367,36 +380,35 @@ LotkerState cc_mst_initial_state(std::uint32_t n) {
   return state;
 }
 
-std::size_t cc_mst_step(CliqueEngine& engine, const CliqueWeights& weights,
+std::size_t cc_mst_step(CliqueEngine& engine, const FiniteAdjacency& input,
                         LotkerState& state) {
-  check(engine.n() == weights.n() &&
-            state.cluster_of.size() == weights.n(),
+  check(engine.n() == input.n() && state.cluster_of.size() == input.n(),
         "cc_mst_step: engine/input/state size mismatch");
   engine.require_id_knowledge("cc_mst");
   if (state.num_clusters() <= 1) return 0;
   TraceScope phase_scope{engine, "lotker/phase", state.phases_run + 1};
-  Phase phase = run_phase(engine, weights, state.cluster_of);
+  Phase phase = run_phase(engine, input, state.cluster_of);
   state.tree_edges.insert(state.tree_edges.end(), phase.merge_edges.begin(),
                           phase.merge_edges.end());
   ++state.phases_run;
   return phase.merge_edges.size();
 }
 
-LotkerState cc_mst_phases(CliqueEngine& engine, const CliqueWeights& weights,
+LotkerState cc_mst_phases(CliqueEngine& engine, const FiniteAdjacency& input,
                           std::uint32_t phases) {
-  check(engine.n() == weights.n(), "cc_mst: engine/input size mismatch");
+  check(engine.n() == input.n(), "cc_mst: engine/input size mismatch");
   engine.require_id_knowledge("cc_mst");
-  LotkerState state = cc_mst_initial_state(weights.n());
+  LotkerState state = cc_mst_initial_state(input.n());
   for (std::uint32_t k = 0; k < phases; ++k)
-    if (cc_mst_step(engine, weights, state) == 0) break;
+    if (cc_mst_step(engine, input, state) == 0) break;
   return state;
 }
 
-LotkerState cc_mst_full(CliqueEngine& engine, const CliqueWeights& weights) {
+LotkerState cc_mst_full(CliqueEngine& engine, const FiniteAdjacency& input) {
   engine.require_id_knowledge("cc_mst");
-  LotkerState state = cc_mst_initial_state(weights.n());
+  LotkerState state = cc_mst_initial_state(input.n());
   while (state.num_clusters() > 1)
-    check(cc_mst_step(engine, weights, state) > 0,
+    check(cc_mst_step(engine, input, state) > 0,
           "cc_mst_full: stalled phase");
   return state;
 }

@@ -33,7 +33,10 @@
 //
 // The simulation of R1-R3 visits only finite edges: a cluster's label is its
 // minimum member, so two clusters that share no finite edge meet at the
-// padding edge (inf, min label, max label), which needs no lookup.
+// padding edge (inf, min label, max label), which needs no lookup. The
+// phases therefore take the input as a FiniteAdjacency, built once per run:
+// from E(G) in O(n + m) for REDUCECOMPONENTS (no n^2 lift is ever stored),
+// or from one walk of a CliqueWeights triangle for a weighted clique.
 //
 // Five rounds per phase; ceil(log log n) + O(1) phases to a single cluster.
 // Used by the paper both as a full MST algorithm (the O(log log n) baseline
@@ -42,6 +45,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "clique/engine.hpp"
@@ -60,25 +64,50 @@ class CliqueWeights {
   /// become infinite-weight edges.
   static CliqueWeights from_graph(const WeightedGraph& g);
 
-  /// Lift an unweighted graph: present edges get weight 1, absent pairs
-  /// infinity (exactly Step 1 of REDUCECOMPONENTS).
-  static CliqueWeights unit_from_graph(const Graph& g);
-
   std::uint32_t n() const { return n_; }
   Weight at(VertexId u, VertexId v) const;
   bool finite(VertexId u, VertexId v) const;
   void set(VertexId u, VertexId v, Weight w);
   WeightedEdge edge(VertexId u, VertexId v) const;
 
-  /// All finite-weight edges, u ascending, then v ascending (one sequential
-  /// walk of the triangle).
-  std::vector<WeightedEdge> finite_edges() const;
-
  private:
+  friend class FiniteAdjacency;
   std::size_t slot(VertexId u, VertexId v) const;
 
   std::uint32_t n_;
   std::vector<std::uint32_t> w_;  // triangular; UINT32_MAX = infinite
+};
+
+/// The finite edges of a CC-MST input as adjacency lists: every edge {u, v}
+/// appears as an arc in u's list and one in v's. Pairs without an arc are
+/// the infinite-weight non-edges, which CC-MST never looks up.
+class FiniteAdjacency {
+ public:
+  struct Arc {
+    VertexId to;
+    std::uint32_t w;
+  };
+
+  /// Unit weights on E(G), exactly Step 1 of REDUCECOMPONENTS, in
+  /// O(n + m); each node's arcs follow its neighbour order in `g`.
+  explicit FiniteAdjacency(const Graph& g);
+
+  /// The finite pairs of a weighted clique, from one walk of its triangle;
+  /// each node's arcs ascend by neighbour.
+  explicit FiniteAdjacency(const CliqueWeights& weights);
+
+  std::uint32_t n() const { return n_; }
+  std::span<const Arc> arcs(VertexId u) const {
+    return {arcs_.data() + first_[u], arcs_.data() + first_[u + 1]};
+  }
+
+  /// Every finite edge once, by u ascending, then in u's arc order.
+  std::vector<WeightedEdge> edges() const;
+
+ private:
+  std::uint32_t n_;
+  std::vector<std::size_t> first_;  // u's arcs: [first_[u], first_[u + 1])
+  std::vector<Arc> arcs_;
 };
 
 /// Partition + forest state after k phases; every node knows all of it
@@ -99,15 +128,15 @@ LotkerState cc_mst_initial_state(std::uint32_t n);
 /// edges accepted (0 iff a single cluster remains). Exposed so callers can
 /// interleave per-phase checks — the early-exit connectivity verification
 /// of Section 2.2 uses this.
-std::size_t cc_mst_step(CliqueEngine& engine, const CliqueWeights& weights,
+std::size_t cc_mst_step(CliqueEngine& engine, const FiniteAdjacency& input,
                         LotkerState& state);
 
 /// Run `phases` phases of CC-MST (fewer if a single cluster forms earlier).
-LotkerState cc_mst_phases(CliqueEngine& engine, const CliqueWeights& weights,
+LotkerState cc_mst_phases(CliqueEngine& engine, const FiniteAdjacency& input,
                           std::uint32_t phases);
 
 /// Run to completion (single cluster): the full O(log log n)-round MST.
-LotkerState cc_mst_full(CliqueEngine& engine, const CliqueWeights& weights);
+LotkerState cc_mst_full(CliqueEngine& engine, const FiniteAdjacency& input);
 
 /// Number of phases REDUCECOMPONENTS runs: ceil(log log log n) + 3
 /// (Algorithm 1, Step 2).

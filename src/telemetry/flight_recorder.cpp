@@ -184,15 +184,18 @@ std::uint64_t FlightRecorder::record(Event e) noexcept {
   e.seq = next_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   const std::uint64_t h = ring.head.load(std::memory_order_relaxed);
   Slot& s = ring.slots[h % config_.ring_capacity];
-  // Seqlock write: odd version (acq_rel keeps the payload stores after
-  // it), payload, even version (release keeps them before it).
+  // Seqlock write: odd version, payload, even version (release keeps the
+  // payload before it). Release payload stores publish the odd version:
+  // a reader whose acquire load sees any new payload word then re-reads
+  // `ver` as odd or newer, so a torn slot never passes its check. (No
+  // standalone fence: TSan does not model fences.)
   const std::uint64_t v0 = s.ver.fetch_add(1, std::memory_order_acq_rel);
-  s.w[0].store(e.seq, std::memory_order_relaxed);
-  s.w[1].store(e.rid, std::memory_order_relaxed);
-  s.w[2].store(e.request, std::memory_order_relaxed);
-  s.w[3].store(e.value, std::memory_order_relaxed);
-  s.w[4].store(e.latency_ns, std::memory_order_relaxed);
-  s.w[5].store(pack_meta(e), std::memory_order_relaxed);
+  s.w[0].store(e.seq, std::memory_order_release);
+  s.w[1].store(e.rid, std::memory_order_release);
+  s.w[2].store(e.request, std::memory_order_release);
+  s.w[3].store(e.value, std::memory_order_release);
+  s.w[4].store(e.latency_ns, std::memory_order_release);
+  s.w[5].store(pack_meta(e), std::memory_order_release);
   s.ver.store(v0 + 2, std::memory_order_release);
   ring.head.store(h + 1, std::memory_order_release);
   return e.seq;

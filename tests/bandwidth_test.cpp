@@ -23,7 +23,8 @@ TEST_P(BandwidthSweep, CcMstStaysExact) {
   const std::uint32_t n = 128;
   const auto g = random_weighted_clique(n, rng);
   CliqueEngine engine{{.n = n, .messages_per_link = b}};
-  const auto state = cc_mst_full(engine, CliqueWeights::from_graph(g));
+  const auto state =
+      cc_mst_full(engine, FiniteAdjacency{CliqueWeights::from_graph(g)});
   const auto check = verify_msf(g, state.tree_edges);
   EXPECT_TRUE(check.ok) << "B=" << b << ": " << check.message;
 }
@@ -69,11 +70,11 @@ TEST(Bandwidth, WiderLinksNeverMorePhases) {
   Rng rng{7};
   const std::uint32_t n = 256;
   const auto g = random_weighted_clique(n, rng);
-  const auto weights = CliqueWeights::from_graph(g);
+  const FiniteAdjacency input{CliqueWeights::from_graph(g)};
   std::uint32_t prev = ~0u;
   for (std::uint32_t b : {1u, 4u, 16u}) {
     CliqueEngine engine{{.n = n, .messages_per_link = b}};
-    const auto state = cc_mst_full(engine, weights);
+    const auto state = cc_mst_full(engine, input);
     EXPECT_LE(state.phases_run, prev) << "B=" << b;
     prev = state.phases_run;
   }
@@ -86,7 +87,8 @@ TEST(Bandwidth, LargeBudgetCollapsesToFewPhases) {
   const std::uint32_t n = 128;
   const auto g = random_weighted_clique(n, rng);
   CliqueEngine engine{{.n = n, .messages_per_link = n}};
-  const auto state = cc_mst_full(engine, CliqueWeights::from_graph(g));
+  const auto state =
+      cc_mst_full(engine, FiniteAdjacency{CliqueWeights::from_graph(g)});
   EXPECT_LE(state.phases_run, 2u);
   EXPECT_TRUE(verify_msf(g, state.tree_edges).ok);
 }

@@ -21,7 +21,8 @@ TEST_P(BoruvkaCliqueSeeds, MatchesKruskalOnCliques) {
     const auto g = random_weighted_clique(n, rng);
     CliqueEngine engine{{.n = n}};
     const auto result =
-        boruvka_clique_msf(engine, CliqueWeights::from_graph(g));
+        boruvka_clique_msf(
+            engine, FiniteAdjacency{CliqueWeights::from_graph(g)});
     const auto check = verify_msf(g, result.msf);
     EXPECT_TRUE(check.ok) << "n=" << n << ": " << check.message;
   }
@@ -32,7 +33,8 @@ TEST_P(BoruvkaCliqueSeeds, MatchesKruskalOnSparseGraphs) {
   const std::uint32_t n = 64;
   const auto g = random_weights(gnp(n, 0.2, rng), 1 << 20, rng);
   CliqueEngine engine{{.n = n}};
-  auto result = boruvka_clique_msf(engine, CliqueWeights::from_graph(g));
+  auto result =
+      boruvka_clique_msf(engine, FiniteAdjacency{CliqueWeights::from_graph(g)});
   std::sort(result.msf.begin(), result.msf.end(), weight_less);
   EXPECT_EQ(result.msf, kruskal_msf(g));
 }
@@ -43,7 +45,8 @@ TEST_P(BoruvkaCliqueSeeds, DisconnectedInputsYieldForests) {
   const auto base = random_components(n, 3, 40, rng);
   const auto g = random_weights(base, 1 << 20, rng);
   CliqueEngine engine{{.n = n}};
-  auto result = boruvka_clique_msf(engine, CliqueWeights::from_graph(g));
+  auto result =
+      boruvka_clique_msf(engine, FiniteAdjacency{CliqueWeights::from_graph(g)});
   std::sort(result.msf.begin(), result.msf.end(), weight_less);
   EXPECT_EQ(result.msf, kruskal_msf(g));
   EXPECT_EQ(result.msf.size(), n - 3u);
@@ -58,7 +61,8 @@ TEST(BoruvkaClique, PhaseCountIsLogarithmic) {
     const auto g = random_weighted_clique(n, rng);
     CliqueEngine engine{{.n = n}};
     const auto result =
-        boruvka_clique_msf(engine, CliqueWeights::from_graph(g));
+        boruvka_clique_msf(
+            engine, FiniteAdjacency{CliqueWeights::from_graph(g)});
     const auto log_n = static_cast<std::uint32_t>(std::bit_width(n - 1));
     EXPECT_LE(result.phases, log_n) << "n=" << n;
     EXPECT_GE(result.phases, 2u) << "n=" << n;
@@ -71,11 +75,11 @@ TEST(BoruvkaClique, TournamentCliqueForcesLogNPhases) {
   // needs ~loglog(n).
   for (std::uint32_t n : {16u, 64u, 256u}) {
     const auto g = tournament_weighted_clique(n);
-    const auto weights = CliqueWeights::from_graph(g);
+    const FiniteAdjacency input{CliqueWeights::from_graph(g)};
     CliqueEngine boruvka_engine{{.n = n}};
-    const auto boruvka = boruvka_clique_msf(boruvka_engine, weights);
+    const auto boruvka = boruvka_clique_msf(boruvka_engine, input);
     CliqueEngine lotker_engine{{.n = n}};
-    const auto lotker = cc_mst_full(lotker_engine, weights);
+    const auto lotker = cc_mst_full(lotker_engine, input);
     const auto log_n = static_cast<std::uint32_t>(std::bit_width(n - 1));
     EXPECT_EQ(boruvka.phases, log_n) << "n=" << n;
     EXPECT_LT(lotker.phases_run, boruvka.phases) << "n=" << n;
@@ -104,19 +108,19 @@ TEST(TournamentClique, StructureAndValidation) {
 
 TEST(BoruvkaClique, TrivialInputs) {
   CliqueEngine e1{{.n = 1}};
-  EXPECT_TRUE(boruvka_clique_msf(e1, CliqueWeights{1}).msf.empty());
+  EXPECT_TRUE(boruvka_clique_msf(e1, FiniteAdjacency{Graph{1}}).msf.empty());
   CliqueEngine e2{{.n = 4}};
-  EXPECT_TRUE(boruvka_clique_msf(e2, CliqueWeights{4}).msf.empty());
+  EXPECT_TRUE(boruvka_clique_msf(e2, FiniteAdjacency{Graph{4}}).msf.empty());
 }
 
 TEST(Kt0Discipline, AlgorithmsRejectUnresolvedKt0) {
   Rng rng{3};
   const std::uint32_t n = 16;
   const auto g = random_weighted_clique(n, rng);
-  const auto weights = CliqueWeights::from_graph(g);
+  const FiniteAdjacency input{CliqueWeights::from_graph(g)};
   CliqueEngine engine{{.n = n, .knowledge = Knowledge::KT0}};
-  EXPECT_THROW(boruvka_clique_msf(engine, weights), ProtocolError);
-  EXPECT_THROW(cc_mst_full(engine, weights), ProtocolError);
+  EXPECT_THROW(boruvka_clique_msf(engine, input), ProtocolError);
+  EXPECT_THROW(cc_mst_full(engine, input), ProtocolError);
 }
 
 TEST(Kt0Discipline, ResolutionUnlocksAlgorithms) {
@@ -125,7 +129,8 @@ TEST(Kt0Discipline, ResolutionUnlocksAlgorithms) {
   const auto g = random_weighted_clique(n, rng);
   CliqueEngine engine{{.n = n, .knowledge = Knowledge::KT0}};
   resolve_ids_kt0(engine);
-  const auto result = boruvka_clique_msf(engine, CliqueWeights::from_graph(g));
+  const auto result =
+      boruvka_clique_msf(engine, FiniteAdjacency{CliqueWeights::from_graph(g)});
   const auto check = verify_msf(g, result.msf);
   EXPECT_TRUE(check.ok) << check.message;
   // The bootstrap round is part of the bill: n(n-1) messages up front.

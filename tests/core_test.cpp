@@ -172,11 +172,11 @@ TEST(ComponentGraphGolden, CliqueAfterOneLotkerPhase) {
   // The EXACT-MST shape: a 512-clique contracted by one CC-MST phase.
   Rng rng{63};
   const std::uint32_t n = 512;
-  const auto weights =
-      CliqueWeights::from_graph(random_weighted_clique(n, rng));
+  const FiniteAdjacency input{
+      CliqueWeights::from_graph(random_weighted_clique(n, rng))};
   CliqueEngine pre{{.n = n}};
-  const auto state = cc_mst_phases(pre, weights, 1);
-  const auto edges = weights.finite_edges();
+  const auto state = cc_mst_phases(pre, input, 1);
+  const auto edges = input.edges();
   expect_component_graph_pin(
       n,
       [&](CliqueEngine& e) {

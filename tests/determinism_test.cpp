@@ -335,11 +335,11 @@ TEST(Determinism, GcIdenticalAcrossThreadCounts) {
 TEST(Determinism, LotkerMstIdenticalAcrossThreadCounts) {
   Rng gen{777};
   const WeightedGraph wg = random_weighted_clique(96, gen);
-  const CliqueWeights weights = CliqueWeights::from_graph(wg);
+  const FiniteAdjacency input{CliqueWeights::from_graph(wg)};
   CliqueEngine serial{{.n = 96, .threads = 1}};
   CliqueEngine parallel{{.n = 96, .threads = 8}};
-  const LotkerState a = cc_mst_full(serial, weights);
-  const LotkerState b = cc_mst_full(parallel, weights);
+  const LotkerState a = cc_mst_full(serial, input);
+  const LotkerState b = cc_mst_full(parallel, input);
   EXPECT_EQ(a.phases_run, b.phases_run);
   EXPECT_EQ(a.cluster_of, b.cluster_of);
   ASSERT_EQ(a.tree_edges.size(), b.tree_edges.size());

@@ -114,13 +114,13 @@ TEST(CcMstStep, IncrementalMatchesBatch) {
   Rng rng{19};
   const std::uint32_t n = 64;
   const auto g = random_weighted_clique(n, rng);
-  const auto weights = CliqueWeights::from_graph(g);
+  const FiniteAdjacency input{CliqueWeights::from_graph(g)};
   CliqueEngine e1{{.n = n}};
   auto state = cc_mst_initial_state(n);
-  cc_mst_step(e1, weights, state);
-  cc_mst_step(e1, weights, state);
+  cc_mst_step(e1, input, state);
+  cc_mst_step(e1, input, state);
   CliqueEngine e2{{.n = n}};
-  const auto batch = cc_mst_phases(e2, weights, 2);
+  const auto batch = cc_mst_phases(e2, input, 2);
   EXPECT_EQ(state.cluster_of, batch.cluster_of);
   EXPECT_EQ(state.tree_edges, batch.tree_edges);
   EXPECT_EQ(e1.metrics().rounds, e2.metrics().rounds);
@@ -130,14 +130,14 @@ TEST(CcMstStep, IncrementalMatchesBatch) {
 TEST(CcMstStep, ReturnsZeroWhenDone) {
   Rng rng{21};
   const std::uint32_t n = 16;
-  const auto weights =
-      CliqueWeights::from_graph(random_weighted_clique(n, rng));
+  const FiniteAdjacency input{
+      CliqueWeights::from_graph(random_weighted_clique(n, rng))};
   CliqueEngine engine{{.n = n}};
   auto state = cc_mst_initial_state(n);
-  while (cc_mst_step(engine, weights, state) > 0) {
+  while (cc_mst_step(engine, input, state) > 0) {
   }
   EXPECT_EQ(state.num_clusters(), 1u);
-  EXPECT_EQ(cc_mst_step(engine, weights, state), 0u);
+  EXPECT_EQ(cc_mst_step(engine, input, state), 0u);
 }
 
 }  // namespace

@@ -134,7 +134,8 @@ TEST(LoadConservation, LotkerMst) {
   CliqueEngine engine{{.n = 64}};
   LoadProfile profile;
   engine.set_load_profile(&profile);
-  (void)cc_mst_full(engine, CliqueWeights::from_graph(wg));
+  (void)cc_mst_full(engine,
+                    FiniteAdjacency{CliqueWeights::from_graph(wg)});
   expect_conserved(profile, engine.metrics());
 }
 
@@ -144,7 +145,8 @@ TEST(LoadConservation, BoruvkaBaseline) {
   CliqueEngine engine{{.n = 64}};
   LoadProfile profile;
   engine.set_load_profile(&profile);
-  (void)boruvka_clique_msf(engine, CliqueWeights::from_graph(wg));
+  (void)boruvka_clique_msf(engine,
+                           FiniteAdjacency{CliqueWeights::from_graph(wg)});
   expect_conserved(profile, engine.metrics());
 }
 

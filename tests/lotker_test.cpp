@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "core/gc.hpp"
@@ -33,15 +34,23 @@ TEST(CliqueWeightsType, FromGraphRoundTrip) {
   const auto g = random_weights(gnp(20, 0.4, rng), 1 << 16, rng);
   const auto w = CliqueWeights::from_graph(g);
   for (const auto& e : g.edges()) EXPECT_EQ(w.at(e.u, e.v), e.w);
-  EXPECT_EQ(w.finite_edges().size(), g.num_edges());
+  // The adjacency's edge list is the triangle's finite part in (u, v)
+  // order.
+  const auto edges = FiniteAdjacency{w}.edges();
+  ASSERT_EQ(edges.size(), g.num_edges());
+  EXPECT_TRUE(std::is_sorted(edges.begin(), edges.end(),
+                             [](const WeightedEdge& a, const WeightedEdge& b) {
+                               return a.edge() < b.edge();
+                             }));
+  for (const auto& e : edges) EXPECT_EQ(w.at(e.u, e.v), e.w);
 }
 
-TEST(CliqueWeightsType, UnitFromGraph) {
-  Rng rng{2};
-  const auto g = gnp(15, 0.3, rng);
-  const auto w = CliqueWeights::unit_from_graph(g);
-  for (const auto& e : g.edges()) EXPECT_EQ(w.at(e.u, e.v), 1u);
-  EXPECT_EQ(w.finite_edges().size(), g.num_edges());
+// Step 1 of REDUCECOMPONENTS as a weight triangle: weight 1 on E(G),
+// infinity elsewhere.
+CliqueWeights unit_triangle(const Graph& g) {
+  CliqueWeights w{g.num_vertices()};
+  for (const auto& e : g.edges()) w.set(e.u, e.v, 1);
+  return w;
 }
 
 class LotkerSeeds : public ::testing::TestWithParam<std::uint64_t> {};
@@ -51,7 +60,8 @@ TEST_P(LotkerSeeds, FullRunMatchesKruskal) {
   for (std::uint32_t n : {8u, 33u, 100u}) {
     const auto g = random_weighted_clique(n, rng);
     CliqueEngine engine{{.n = n}};
-    const auto state = cc_mst_full(engine, CliqueWeights::from_graph(g));
+    const auto state =
+        cc_mst_full(engine, FiniteAdjacency{CliqueWeights::from_graph(g)});
     const auto check = verify_msf(g, state.tree_edges);
     EXPECT_TRUE(check.ok) << "n=" << n << ": " << check.message;
     EXPECT_EQ(state.num_clusters(), 1u);
@@ -63,10 +73,10 @@ TEST_P(LotkerSeeds, ClusterSizeInvariant) {
   Rng rng{GetParam() + 50};
   const std::uint32_t n = 256;
   const auto g = random_weighted_clique(n, rng);
-  const auto weights = CliqueWeights::from_graph(g);
+  const FiniteAdjacency input{CliqueWeights::from_graph(g)};
   for (std::uint32_t k = 1; k <= 4; ++k) {
     CliqueEngine engine{{.n = n}};
-    const auto state = cc_mst_phases(engine, weights, k);
+    const auto state = cc_mst_phases(engine, input, k);
     if (state.num_clusters() <= 1) break;  // finished early: vacuous
     const double bound = std::pow(2.0, std::pow(2.0, k - 1));
     EXPECT_GE(state.min_cluster_size(), static_cast<std::uint32_t>(bound))
@@ -79,7 +89,8 @@ TEST_P(LotkerSeeds, PartialPhasesSelectOnlyMstEdges) {
   const std::uint32_t n = 64;
   const auto g = random_weighted_clique(n, rng);
   CliqueEngine engine{{.n = n}};
-  const auto state = cc_mst_phases(engine, CliqueWeights::from_graph(g), 2);
+  const auto state =
+      cc_mst_phases(engine, FiniteAdjacency{CliqueWeights::from_graph(g)}, 2);
   const auto mst = kruskal_msf(g);
   std::map<Edge, Weight> mst_set;
   for (const auto& e : mst) mst_set[e.edge()] = e.w;
@@ -97,11 +108,11 @@ TEST(Lotker, RoundsPerPhaseAreConstant) {
   Rng rng{77};
   const std::uint32_t n = 128;
   const auto g = random_weighted_clique(n, rng);
-  const auto weights = CliqueWeights::from_graph(g);
+  const FiniteAdjacency input{CliqueWeights::from_graph(g)};
   std::uint64_t prev_rounds = 0;
   for (std::uint32_t k = 1; k <= 3; ++k) {
     CliqueEngine engine{{.n = n}};
-    cc_mst_phases(engine, weights, k);
+    cc_mst_phases(engine, input, k);
     const std::uint64_t delta = engine.metrics().rounds - prev_rounds;
     EXPECT_LE(delta, 5u) << "phase " << k;
     prev_rounds = engine.metrics().rounds;
@@ -114,7 +125,8 @@ TEST(Lotker, PhaseCountIsLogLog) {
   for (std::uint32_t n : {16u, 64u, 256u, 512u}) {
     const auto g = random_weighted_clique(n, rng);
     CliqueEngine engine{{.n = n}};
-    const auto state = cc_mst_full(engine, CliqueWeights::from_graph(g));
+    const auto state =
+        cc_mst_full(engine, FiniteAdjacency{CliqueWeights::from_graph(g)});
     // Doubly-exponential growth: ceil(log2 log2 n) + O(1) phases.
     const auto bound = static_cast<std::uint32_t>(
         std::ceil(std::log2(std::log2(static_cast<double>(n)))) + 2);
@@ -130,9 +142,8 @@ TEST(Lotker, DisconnectedInputUsesInfiniteEdges) {
   // edges form a spanning forest of the real graph.
   Rng rng{99};
   auto base = random_components(40, 2, 30, rng);
-  const auto weights = CliqueWeights::unit_from_graph(base);
   CliqueEngine engine{{.n = 40}};
-  const auto state = cc_mst_full(engine, weights);
+  const auto state = cc_mst_full(engine, FiniteAdjacency{base});
   EXPECT_EQ(state.num_clusters(), 1u);
   std::size_t infinite = 0;
   std::vector<Edge> finite;
@@ -159,7 +170,8 @@ TEST(Lotker, EveryNodeKnowsTheTree) {
   Rng rng{111};
   const auto g = random_weighted_clique(30, rng);
   CliqueEngine engine{{.n = 30}};
-  const auto state = cc_mst_full(engine, CliqueWeights::from_graph(g));
+  const auto state =
+      cc_mst_full(engine, FiniteAdjacency{CliqueWeights::from_graph(g)});
   for (const auto& e : state.tree_edges)
     EXPECT_EQ(g.edge_weight(e.u, e.v), std::optional<Weight>{e.w});
 }
@@ -190,7 +202,7 @@ TEST(LotkerPadding, LightestPairEdgeIsFiniteElsePadding) {
       for (const std::uint32_t k : {2u, 5u, n / 2}) {
         const Graph g = gnp(n, density, rng);
         const CliqueWeights inputs[] = {
-            CliqueWeights::unit_from_graph(g),
+            unit_triangle(g),
             CliqueWeights::from_graph(random_weights(g, 1 << 16, rng))};
         const auto label = min_labelled_partition(n, k, rng);
         for (const CliqueWeights& w : inputs) {
@@ -238,13 +250,13 @@ TEST(LotkerPadding, LightestPairEdgeIsFiniteElsePadding) {
 
 TEST(LotkerPadding, LabelThatIsNotTheMinimumMemberThrows) {
   Rng rng{5};
-  const auto weights = CliqueWeights::unit_from_graph(gnp(6, 0.5, rng));
+  const FiniteAdjacency input{gnp(6, 0.5, rng)};
   CliqueEngine engine{{.n = 6}};
   LotkerState state = cc_mst_initial_state(6);
   state.cluster_of = {1, 1, 2, 3, 4, 5};  // cluster {0, 1} labelled 1
-  EXPECT_THROW(cc_mst_step(engine, weights, state), std::logic_error);
+  EXPECT_THROW(cc_mst_step(engine, input, state), std::logic_error);
   state.cluster_of = {2, 2, 2, 3, 4, 5};  // cluster {0, 1, 2} labelled 2
-  EXPECT_THROW(cc_mst_step(engine, weights, state), std::logic_error);
+  EXPECT_THROW(cc_mst_step(engine, input, state), std::logic_error);
 }
 
 // Golden pins for CC-MST phases. After phases 1 and 3, each case records
@@ -353,11 +365,11 @@ TEST(LotkerGolden, PhasesOneAndThree) {
   for (const std::uint32_t n : {64u, 1024u}) {
     Rng rng{700 + n};
     const Graph g = random_connected(n, 2 * n, rng);
-    const CliqueWeights inputs[] = {
-        CliqueWeights::unit_from_graph(g),
-        CliqueWeights::from_graph(
-            random_weights(random_connected(n, 4 * n, rng), 1 << 20, rng))};
-    for (const CliqueWeights& input : inputs) {
+    const FiniteAdjacency inputs[] = {
+        FiniteAdjacency{g},
+        FiniteAdjacency{CliqueWeights::from_graph(
+            random_weights(random_connected(n, 4 * n, rng), 1 << 20, rng))}};
+    for (const FiniteAdjacency& input : inputs) {
       // Standard links, B = 4 (quota s*B < m - 1 in phase 1) and the
       // paper's wide links (quota m - 1: one phase finishes).
       for (const std::uint32_t per_link :
@@ -424,8 +436,7 @@ TEST(LotkerGolden, DisconnectedSparseUnit) {
   const PhasePin* pin = pins;
   for (const std::uint32_t n : {64u, 1024u}) {
     Rng rng{900 + n};
-    const auto input =
-        CliqueWeights::unit_from_graph(random_components(n, 6, n / 2, rng));
+    const FiniteAdjacency input{random_components(n, 6, n / 2, rng)};
     for (const std::uint32_t per_link :
          {1u, 4u, wide_bandwidth_messages_per_link(n)}) {
       CliqueEngine engine{{.n = n, .messages_per_link = per_link}};
@@ -449,8 +460,8 @@ TEST(LotkerGolden, DenseCliquePhaseOne) {
   const PhasePin pin = {331, 12946802765973441899ULL, 13703865708744623800ULL,
                         4, 169983, 510460, 169141, 12336519766049315961ULL};
   Rng rng{512};
-  const auto input =
-      CliqueWeights::from_graph(random_weighted_clique(512, rng));
+  const FiniteAdjacency input{
+      CliqueWeights::from_graph(random_weighted_clique(512, rng))};
   CliqueEngine engine{{.n = 512}};
   std::uint64_t observed = 0;
   digest_observer(engine, observed);
@@ -648,6 +659,62 @@ TEST(GcGolden, VerifyConnectivityDisconnectedSparse) {
     EXPECT_EQ(line, *pin++) << "n=" << in.n;
   }
   EXPECT_EQ(pin, std::end(pins));
+}
+
+TEST(FiniteAdjacencyType, GraphBuiltMatchesTriangleBuilt) {
+  // The unit input built from G in O(n + m), from the unit triangle, and
+  // from G's edges in shuffled insertion order: the three hold the same
+  // arcs in different orders, and CC-MST's state, Metrics and observer
+  // sequence must agree after every phase.
+  Rng rng{2};
+  for (const std::uint32_t n : {15u, 300u}) {
+    const Graph g = random_components(n, 3, n / 4, rng);
+    std::vector<Edge> shuffled = g.edges();
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    const FiniteAdjacency inputs[] = {
+        FiniteAdjacency{unit_triangle(g)}, FiniteAdjacency{g},
+        FiniteAdjacency{Graph::from_edges(n, shuffled)}};
+    for (const FiniteAdjacency& input : inputs) {
+      EXPECT_EQ(input.n(), n);
+      const auto edges = input.edges();
+      EXPECT_EQ(edges.size(), g.num_edges());
+      for (const auto& e : edges) {
+        EXPECT_TRUE(g.has_edge(e.u, e.v));
+        EXPECT_EQ(e.w, 1u);
+      }
+    }
+    struct Run {
+      explicit Run(std::uint32_t size)
+          : engine{{.n = size}}, state{cc_mst_initial_state(size)} {
+        digest_observer(engine, observed);
+      }
+      CliqueEngine engine;
+      std::uint64_t observed{0};
+      LotkerState state;
+    };
+    std::vector<std::unique_ptr<Run>> runs;
+    for (std::size_t i = 0; i < std::size(inputs); ++i)
+      runs.push_back(std::make_unique<Run>(n));
+    for (std::uint32_t phase = 1; runs[0]->state.num_clusters() > 1;
+         ++phase) {
+      for (std::size_t i = 0; i < std::size(inputs); ++i)
+        cc_mst_step(runs[i]->engine, inputs[i], runs[i]->state);
+      for (std::size_t i = 1; i < std::size(inputs); ++i) {
+        SCOPED_TRACE(testing::Message()
+                     << "n=" << n << " input=" << i << " phase=" << phase);
+        EXPECT_EQ(runs[i]->state.cluster_of, runs[0]->state.cluster_of);
+        EXPECT_EQ(runs[i]->state.tree_edges, runs[0]->state.tree_edges);
+        EXPECT_EQ(runs[i]->state.phases_run, runs[0]->state.phases_run);
+        const Metrics& m = runs[i]->engine.metrics();
+        const Metrics& ref = runs[0]->engine.metrics();
+        EXPECT_EQ(m.rounds, ref.rounds);
+        EXPECT_EQ(m.messages, ref.messages);
+        EXPECT_EQ(m.words, ref.words);
+        EXPECT_EQ(m.max_messages_in_round, ref.max_messages_in_round);
+        EXPECT_EQ(runs[i]->observed, runs[0]->observed);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -38,18 +38,19 @@ TEST_P(MstGrid, AllFiveMstImplementationsAgree) {
   if (base.num_edges() == 0) return;
   const auto g = random_weights(base, 8 * base.num_edges() + 8, rng);
   const auto weights = CliqueWeights::from_graph(g);
+  const FiniteAdjacency input{weights};
   const auto reference = kruskal_msf(g);
   ASSERT_EQ(boruvka_msf(g), reference);
 
   {
     CliqueEngine engine{{.n = n}};
-    auto r = boruvka_clique_msf(engine, weights);
+    auto r = boruvka_clique_msf(engine, input);
     std::sort(r.msf.begin(), r.msf.end(), weight_less);
     EXPECT_EQ(r.msf, reference) << "distributed Borůvka";
   }
   {
     CliqueEngine engine{{.n = n}};
-    auto r = cc_mst_full(engine, weights);
+    auto r = cc_mst_full(engine, input);
     // CC-MST on sparse inputs may add infinite gluing edges; drop them.
     std::vector<WeightedEdge> finite;
     for (const auto& e : r.tree_edges)
@@ -134,8 +135,9 @@ TEST(FailureInjection, MismatchedEngineAndInputSizes) {
   Rng rng{1};
   const auto g = random_weighted_clique(8, rng);
   CliqueEngine engine{{.n = 16}};
-  EXPECT_THROW(cc_mst_full(engine, CliqueWeights::from_graph(g)),
-               std::logic_error);
+  EXPECT_THROW(
+      cc_mst_full(engine, FiniteAdjacency{CliqueWeights::from_graph(g)}),
+      std::logic_error);
   EXPECT_THROW(gc_spanning_forest(engine, Graph{8}, rng), std::logic_error);
 }
 

@@ -123,7 +123,8 @@ std::string traced_lotker_ndjson(std::uint64_t seed) {
   CliqueEngine engine{{.n = 64}};
   Trace trace;
   engine.set_trace(&trace);
-  (void)cc_mst_full(engine, CliqueWeights::from_graph(wg));
+  (void)cc_mst_full(engine,
+                    FiniteAdjacency{CliqueWeights::from_graph(wg)});
   return trace_to_ndjson(trace);
 }
 

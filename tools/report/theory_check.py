@@ -80,14 +80,26 @@ def eval_formula(f: str, **values: float) -> float:
 
 
 def load_sweep(sweep_dir: Path) -> list[dict]:
-    """One dict per grid point: the 'sweep' record plus its 'bound' records
-    keyed by theorem tag."""
-    if not (sweep_dir / "manifest.json").exists():
-        fail(f"{sweep_dir}/manifest.json not found — run "
+    """One dict per grid point listed in manifest.json: the 'sweep' record
+    plus its 'bound' records keyed by theorem tag. Files the manifest does
+    not list (say, left over from an older, larger grid) are ignored."""
+    manifest_path = sweep_dir / "manifest.json"
+    if not manifest_path.exists():
+        fail(f"{manifest_path} not found — run "
              f"`python3 tools/sweep/run_sweep.py` first (it drives the "
              f"ccq_sweep binary from the build tree)")
+    try:
+        names = sorted(entry["file"] for entry in
+                       json.loads(manifest_path.read_text())["points"])
+    except (json.JSONDecodeError, KeyError, TypeError) as e:
+        fail(f"{manifest_path}: not a sweep manifest "
+             f"({type(e).__name__}: {e})")
     points = []
-    for path in sorted(sweep_dir.glob("*.ndjson")):
+    for name in names:
+        path = sweep_dir / name
+        if not path.is_file():
+            fail(f"{path}: listed in {manifest_path.name} but missing — "
+                 f"rerun tools/sweep/run_sweep.py")
         point = {"file": path.name, "bounds": {}}
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
             try:
@@ -102,7 +114,7 @@ def load_sweep(sweep_dir: Path) -> list[dict]:
             fail(f"{path}: no \"sweep\" record — not a sweep point file")
         points.append(point)
     if not points:
-        fail(f"{sweep_dir}: no .ndjson point files")
+        fail(f"{manifest_path}: lists no point files")
     return points
 
 

@@ -147,7 +147,7 @@ void run_lotker(const std::filesystem::path& dir, Manifest& manifest,
   const std::uint64_t seed = static_cast<std::uint64_t>(n) * 10 + 7;
   Rng rng{seed};
   const WeightedGraph g = random_weighted_clique(n, rng);
-  const CliqueWeights weights = CliqueWeights::from_graph(g);
+  const FiniteAdjacency input{CliqueWeights::from_graph(g)};
   Instrumented inst{n};
   // Drive phases one at a time so the per-phase cluster-growth invariant
   // (Theorem 2: min cluster size >= 2^(2^(k-1)) after phase k) is
@@ -155,7 +155,7 @@ void run_lotker(const std::filesystem::path& dir, Manifest& manifest,
   LotkerState state = cc_mst_initial_state(n);
   std::vector<std::uint32_t> min_sizes;
   while (state.num_clusters() > 1) {
-    if (cc_mst_step(inst.engine, weights, state) == 0) break;
+    if (cc_mst_step(inst.engine, input, state) == 0) break;
     min_sizes.push_back(state.min_cluster_size());
   }
   const bool mst_ok = verify_msf(g, state.tree_edges).ok;
