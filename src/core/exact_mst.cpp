@@ -1,6 +1,7 @@
 #include "core/exact_mst.hpp"
 
 #include <limits>
+#include <utility>
 
 #include "clique/trace.hpp"
 #include "core/component_graph.hpp"
@@ -20,33 +21,38 @@ ExactMstResult run(CliqueEngine& engine, const CliqueWeights& weights,
   engine.require_id_knowledge("exact_mst");
   ExactMstResult result;
   TraceScope scope{engine, "exact-mst"};
-  // The finite pairs, from one walk of the triangle: CC-MST and the
-  // component graph both read only these.
-  const FiniteAdjacency input{weights};
 
   // --- Step 1: CC-MST preprocessing (phases == 0 in the wide variant).
+  // CC-MST and Step 2 read only the finite pairs, which one walk of the
+  // triangle gathers. Neither the adjacency nor Step 2's edge list outlives
+  // its use, so neither sits under the SQ-MST stages' memory.
   std::vector<VertexId> leader_of(n);
   for (VertexId v = 0; v < n; ++v) leader_of[v] = v;
-  if (phases > 0) {
-    TraceScope step{engine, "cc-mst-preprocess"};
-    const LotkerState state = cc_mst_phases(engine, input, phases);
-    result.lotker_phases = state.phases_run;
-    // Keep the finite-weight selections (infinite "padding" edges appear
-    // only when the finite part of the input is disconnected; discarding
-    // them turns the output into a minimum spanning forest, as in
-    // REDUCECOMPONENTS).
-    UnionFind uf{n};
-    for (const auto& e : state.tree_edges)
-      if (e.w != kInfiniteWeight) {
-        result.mst.push_back(e);
-        uf.unite(e.u, e.v);
+  std::vector<WeightedEdge> finite;
+  {
+    const FiniteAdjacency input{weights};
+    if (phases > 0) {
+      TraceScope step{engine, "cc-mst-preprocess"};
+      const LotkerState state = cc_mst_phases(engine, input, phases);
+      result.lotker_phases = state.phases_run;
+      // Keep the finite-weight selections (infinite "padding" edges appear
+      // only when the finite part of the input is disconnected; discarding
+      // them turns the output into a minimum spanning forest, as in
+      // REDUCECOMPONENTS).
+      UnionFind uf{n};
+      for (const auto& e : state.tree_edges)
+        if (e.w != kInfiniteWeight) {
+          result.mst.push_back(e);
+          uf.unite(e.u, e.v);
+        }
+      std::vector<VertexId> min_of(n, std::numeric_limits<VertexId>::max());
+      for (VertexId v = 0; v < n; ++v) {
+        const auto root = uf.find(v);
+        min_of[root] = std::min(min_of[root], v);
       }
-    std::vector<VertexId> min_of(n, std::numeric_limits<VertexId>::max());
-    for (VertexId v = 0; v < n; ++v) {
-      const auto root = uf.find(v);
-      min_of[root] = std::min(min_of[root], v);
+      for (VertexId v = 0; v < n; ++v) leader_of[v] = min_of[uf.find(v)];
     }
-    for (VertexId v = 0; v < n; ++v) leader_of[v] = min_of[uf.find(v)];
+    finite = input.edges();
   }
 
   // --- Step 2: weighted component graph G1. The MST subproblems run in
@@ -56,7 +62,8 @@ ExactMstResult run(CliqueEngine& engine, const CliqueWeights& weights,
   ComponentGraph g1;
   {
     TraceScope step{engine, "contract-component-graph"};
-    g1 = build_component_graph_weighted(engine, input.edges(), n,
+    // The edge list is freed with the call, as the adjacency was above.
+    g1 = build_component_graph_weighted(engine, std::exchange(finite, {}), n,
                                         leader_of);
   }
   std::vector<WeightedEdge> g1_edges;  // leader-space edges
