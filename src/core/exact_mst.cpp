@@ -23,9 +23,10 @@ ExactMstResult run(CliqueEngine& engine, const CliqueWeights& weights,
   TraceScope scope{engine, "exact-mst"};
 
   // --- Step 1: CC-MST preprocessing (phases == 0 in the wide variant).
-  // CC-MST and Step 2 read only the finite pairs, which one walk of the
-  // triangle gathers. Neither the adjacency nor Step 2's edge list outlives
-  // its use, so neither sits under the SQ-MST stages' memory.
+  // CC-MST and Step 2 read only the finite pairs, which the adjacency
+  // gathers from the triangle once per run. Neither the adjacency nor
+  // Step 2's edge list outlives its use, so neither sits under the SQ-MST
+  // stages' memory.
   std::vector<VertexId> leader_of(n);
   for (VertexId v = 0; v < n; ++v) leader_of[v] = v;
   std::vector<WeightedEdge> finite;

@@ -65,28 +65,28 @@ FiniteAdjacency::FiniteAdjacency(const Graph& g)
 
 FiniteAdjacency::FiniteAdjacency(const CliqueWeights& weights)
     : n_(weights.n()), first_(n_ + 1, 0) {
-  // One sequential walk of the triangle (slot(u, v), u < v, runs through w_
-  // in (u, v) order). Row u's arcs to lower nodes precede its arcs to higher
-  // ones; the walk has counted the former (below[u]) by the time it reaches
-  // row u, so it leaves a gap for them and appends the latter after it.
-  std::vector<std::uint32_t> below(n_, 0);
-  std::size_t i = 0;
-  for (VertexId u = 0; u < n_; ++u) {
-    first_[u] = arcs_.size();
-    arcs_.resize(arcs_.size() + below[u]);
-    for (VertexId v = u + 1; v < n_; ++v, ++i)
-      if (weights.w_[i] != kNoWeight) {
-        arcs_.push_back({v, weights.w_[i]});
-        ++below[v];
-      }
-  }
-  first_[n_] = arcs_.size();
-  // Fill the gaps by mirroring every upward arc, rows ascending, so each
-  // row stays sorted by neighbour.
+  // Two sequential walks of the triangle (slot(u, v), u < v, runs through
+  // w_ in (u, v) order): the first counts every node's finite pairs, so the
+  // arcs are allocated once at their exact size; the second places them.
+  // Row v receives its arcs to lower nodes (u ascending) before its own
+  // upward ones, so each row ascends by neighbour.
+  const auto finite_pairs = [&](auto&& visit) {
+    std::size_t i = 0;
+    for (VertexId u = 0; u < n_; ++u)
+      for (VertexId v = u + 1; v < n_; ++v, ++i)
+        if (weights.w_[i] != kNoWeight) visit(u, v, weights.w_[i]);
+  };
+  finite_pairs([&](VertexId u, VertexId v, std::uint32_t) {
+    ++first_[u + 1];
+    ++first_[v + 1];
+  });
+  for (VertexId u = 0; u < n_; ++u) first_[u + 1] += first_[u];
+  arcs_.resize(first_[n_]);
   std::vector<std::size_t> next(first_.begin(), first_.end() - 1);
-  for (VertexId u = 0; u < n_; ++u)
-    for (std::size_t k = first_[u] + below[u]; k < first_[u + 1]; ++k)
-      arcs_[next[arcs_[k].to]++] = {u, arcs_[k].w};
+  finite_pairs([&](VertexId u, VertexId v, std::uint32_t w) {
+    arcs_[next[u]++] = {v, w};
+    arcs_[next[v]++] = {u, w};
+  });
 }
 
 std::vector<WeightedEdge> FiniteAdjacency::edges() const {

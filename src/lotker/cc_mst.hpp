@@ -36,7 +36,8 @@
 // padding edge (inf, min label, max label), which needs no lookup. The
 // phases therefore take the input as a FiniteAdjacency, built once per run:
 // from E(G) in O(n + m) for REDUCECOMPONENTS (no n^2 lift is ever stored),
-// or from one walk of a CliqueWeights triangle for a weighted clique.
+// or from a CliqueWeights triangle (one counting walk, one placing walk)
+// for a weighted clique.
 //
 // Five rounds per phase; ceil(log log n) + O(1) phases to a single cluster.
 // Used by the paper both as a full MST algorithm (the O(log log n) baseline
@@ -92,8 +93,9 @@ class FiniteAdjacency {
   /// O(n + m); each node's arcs follow its neighbour order in `g`.
   explicit FiniteAdjacency(const Graph& g);
 
-  /// The finite pairs of a weighted clique, from one walk of its triangle;
-  /// each node's arcs ascend by neighbour.
+  /// The finite pairs of a weighted clique, from two sequential walks of
+  /// its triangle (count, then place); each node's arcs ascend by
+  /// neighbour.
   explicit FiniteAdjacency(const CliqueWeights& weights);
 
   std::uint32_t n() const { return n_; }
