@@ -67,7 +67,8 @@ SqMstResult sq_mst(CliqueEngine& engine, std::uint32_t n,
   // the sketches have been routed into sketch_inbox.
   RoundBuffer guardian_inbox;
   RoundBuffer sketch_inbox;
-  route_packets_into(engine, edge_packets, guardian_inbox);
+  route_packets_into(engine, edge_packets, guardian_inbox,
+                     &result.edge_route);
 
   // --- Step 4: sketches of every prefix graph G_i, shipped to guardians.
   const std::uint32_t copies = copies_override > 0
@@ -110,7 +111,8 @@ SqMstResult sq_mst(CliqueEngine& engine, std::uint32_t n,
                               kTagSketch, j, acc[j]);
     }
   }
-  route_packets_into(engine, sketch_packets, sketch_inbox);
+  route_packets_into(engine, sketch_packets, sketch_inbox,
+                     &result.sketch_route);
 
   // --- Step 5: guardians work locally.
   std::vector<VertexId> identity(n);
@@ -144,7 +146,7 @@ SqMstResult sq_mst(CliqueEngine& engine, std::uint32_t n,
   // --- Step 6: collect M_1 ∪ ... ∪ M_p at v* and spray-broadcast.
   // The guardians' edge groups are consumed; reuse their arena.
   RoundBuffer& mst_inbox = guardian_inbox;
-  route_packets_into(engine, mst_packets, mst_inbox);
+  route_packets_into(engine, mst_packets, mst_inbox, &result.mst_route);
   std::vector<std::vector<std::uint64_t>> items;
   for (const auto& m : mst_inbox.inbox(coordinator)) {
     result.mst.emplace_back(static_cast<VertexId>(m.word(0)),

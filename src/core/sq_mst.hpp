@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "clique/engine.hpp"
+#include "comm/routing.hpp"
 #include "graph/graph.hpp"
 #include "util/random.hpp"
 
@@ -34,6 +35,9 @@ struct SqMstResult {
   std::vector<WeightedEdge> mst;  // minimum spanning forest of (V', E')
   bool monte_carlo_ok{true};
   std::uint32_t partitions{0};    // p
+  RouteStats edge_route;    // Step 3: edge groups to guardians
+  RouteStats sketch_route;  // Step 4: prefix sketches to guardians
+  RouteStats mst_route;     // Step 6: M_1 ∪ ... ∪ M_p to v*
 };
 
 /// Compute the minimum spanning forest of the subgraph (vertices ⊆ [0,n),

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
+#include <string>
 
 #include "core/bipartiteness.hpp"
 #include "core/component_graph.hpp"
@@ -369,6 +371,134 @@ TEST(SqMst, PartitionCountMatchesEdgeVolume) {
   EXPECT_EQ(result.partitions,
             (g.num_edges() + n - 1) / n);
   EXPECT_EQ(result.mst, kruskal_msf(g));
+}
+
+// Golden pins for SQ-MST, captured before its Steps 4-5 moved onto flat
+// lanes and the engine's pool: the forest, the charged counts, every
+// route's RouteStats and the observer's message sequence (whole run, and
+// the sketch route on its own) must stay identical bit for bit.
+struct RoutePin {
+  std::uint64_t rounds;
+  std::uint64_t color_batches;
+  std::uint64_t max_send_load;
+  std::uint64_t max_recv_load;
+};
+
+struct SqMstPin {
+  std::uint32_t partitions;
+  std::uint64_t forest_size;
+  std::uint64_t forest_digest;
+  std::uint64_t rounds;
+  std::uint64_t messages;
+  std::uint64_t words;
+  RoutePin edge_route;
+  RoutePin sketch_route;
+  RoutePin mst_route;
+  std::uint64_t observer_digest;
+  std::uint64_t sketch_route_hops;
+  std::uint64_t sketch_route_digest;
+};
+
+void expect_route_pin(const RouteStats& got, const RoutePin& want,
+                      const char* which) {
+  EXPECT_EQ(got.rounds, want.rounds) << which;
+  EXPECT_EQ(got.color_batches, want.color_batches) << which;
+  EXPECT_EQ(got.max_send_load, want.max_send_load) << which;
+  EXPECT_EQ(got.max_recv_load, want.max_recv_load) << which;
+}
+
+void expect_sq_mst_pin_at(std::uint32_t threads, std::uint32_t n,
+                          const std::vector<WeightedEdge>& edges,
+                          std::uint64_t seed, const SqMstPin& pin) {
+  SCOPED_TRACE("threads=" + std::to_string(threads));
+  CliqueEngine engine{{.n = n, .threads = threads}};
+  // The routes charge their rounds before replaying hops to the observer,
+  // so every hop of one route sees the same round counter; the sketch
+  // route is by far the largest such block.
+  std::uint64_t observed = 0xcbf29ce484222325ULL;
+  std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> blocks;
+  engine.set_observer([&](VertexId s, VertexId d) {
+    const std::uint64_t hop = (static_cast<std::uint64_t>(s) << 32) | d;
+    observed = fnv_mix(observed, hop);
+    const auto it = blocks
+                        .try_emplace(engine.metrics().rounds, 0,
+                                     0xcbf29ce484222325ULL)
+                        .first;
+    ++it->second.first;
+    it->second.second = fnv_mix(it->second.second, hop);
+  });
+  Rng rng{seed};
+  const SqMstResult result = sq_mst(engine, n, edges, rng);
+  std::uint64_t forest = 0xcbf29ce484222325ULL;
+  for (const WeightedEdge& e : result.mst)
+    for (std::uint64_t word : {std::uint64_t{e.u}, std::uint64_t{e.v}, e.w})
+      forest = fnv_mix(forest, word);
+  std::pair<std::uint64_t, std::uint64_t> largest{0, 0};
+  for (const auto& [round, block] : blocks)
+    if (block.first > largest.first) largest = block;
+  EXPECT_TRUE(result.monte_carlo_ok);
+  EXPECT_EQ(result.partitions, pin.partitions);
+  EXPECT_EQ(result.mst.size(), pin.forest_size);
+  EXPECT_EQ(forest, pin.forest_digest);
+  EXPECT_EQ(engine.metrics().rounds, pin.rounds);
+  EXPECT_EQ(engine.metrics().messages, pin.messages);
+  EXPECT_EQ(engine.metrics().words, pin.words);
+  expect_route_pin(result.edge_route, pin.edge_route, "edge route");
+  expect_route_pin(result.sketch_route, pin.sketch_route, "sketch route");
+  expect_route_pin(result.mst_route, pin.mst_route, "mst route");
+  EXPECT_EQ(observed, pin.observer_digest);
+  EXPECT_EQ(largest.first, pin.sketch_route_hops);
+  EXPECT_EQ(largest.second, pin.sketch_route_digest);
+}
+
+void expect_sq_mst_pin(std::uint32_t n, const std::vector<WeightedEdge>& edges,
+                       std::uint64_t seed, const SqMstPin& pin) {
+  for (std::uint32_t threads : {1u, 4u})
+    expect_sq_mst_pin_at(threads, n, edges, seed, pin);
+}
+
+TEST(SqMstGolden, SparseN64) {
+  Rng gen{71};
+  const std::uint32_t n = 64;
+  const auto g = random_weights(gnp(n, 0.3, gen), 1 << 20, gen);
+  expect_sq_mst_pin(n, g.edges(), 72,
+                    {10, 63, 13539940555760816714ULL, 521, 337154, 1224505,
+                     {4, 1, 23, 64}, {476, 237, 2160, 15120}, {4, 1, 9, 11},
+                     15625796449122230422ULL, 266880,
+                     6587435737696053253ULL});
+}
+
+TEST(SqMstGolden, NonPowerOfTwoN100) {
+  Rng gen{73};
+  const std::uint32_t n = 100;
+  const auto g = random_weights(gnp(n, 0.2, gen), 1 << 20, gen);
+  expect_sq_mst_pin(n, g.edges(), 74,
+                    {11, 99, 4959324931182206742ULL, 574, 653044, 2503456,
+                     {6, 2, 26, 100}, {526, 262, 2640, 26136}, {4, 1, 12, 13},
+                     5023757123885196091ULL, 516384,
+                     10179341490119322981ULL});
+}
+
+TEST(SqMstGolden, CliqueAfterOneLotkerPhase) {
+  // The EXACT-MST shape: the component graph of a 512-clique after one
+  // CC-MST phase, thinned to the size of EXACT-MST's second SQ-MST call.
+  Rng gen{75};
+  const std::uint32_t n = 512;
+  const FiniteAdjacency input{
+      CliqueWeights::from_graph(random_weighted_clique(n, gen))};
+  CliqueEngine pre{{.n = n}};
+  const auto state = cc_mst_phases(pre, input, 1);
+  const ComponentGraph g1 = build_component_graph_weighted(
+      pre, input.edges(), n, state.cluster_of);
+  std::vector<WeightedEdge> g1_edges;
+  for (const auto& [pair, witness] : g1.witness)
+    g1_edges.emplace_back(pair.first, pair.second, witness.w);
+  const auto edges = kkt_sample(g1_edges, 0.25, gen);
+  expect_sq_mst_pin(n, edges, 76,
+                    {8, 178, 1704700958624241216ULL, 327, 2488016, 6545059,
+                     {4, 1, 53, 508}, {292, 145, 2912, 74048}, {4, 1, 1, 1},
+                     12762903688532156614ULL, 1035840,
+                     10655736824020609529ULL});
 }
 
 class ExactMstCases : public ::testing::TestWithParam<std::uint64_t> {};

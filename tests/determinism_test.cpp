@@ -1,8 +1,8 @@
 // Parallel execution must be invisible: the engine's threaded round path
 // has to produce bit-identical inboxes, outputs and Metrics to the serial
 // engine (threads = 1) for every lane count. These tests pin that contract
-// on raw rounds and on the two flagship algorithms (GC, Lotker CC-MST), pin
-// fused == unfused windows, and check the arena against a direct oracle of
+// on raw rounds and on the flagship algorithms (GC, Lotker CC-MST,
+// EXACT-MST), pin fused == unfused windows, and check the arena against a direct oracle of
 // the delivery rule that involves no engine, arena or packed codec.
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include "clique/round_buffer.hpp"
 #include "clique/trace.hpp"
 #include "clique/trace_export.hpp"
+#include "core/exact_mst.hpp"
 #include "core/gc.hpp"
 #include "graph/generators.hpp"
 #include "lotker/cc_mst.hpp"
@@ -349,6 +350,49 @@ TEST(Determinism, LotkerMstIdenticalAcrossThreadCounts) {
     EXPECT_EQ(a.tree_edges[i].w, b.tree_edges[i].w);
   }
   expect_same_metrics(parallel.metrics(), serial.metrics());
+}
+
+TEST(Determinism, ExactMstIdenticalAcrossThreadCounts) {
+  // One CC-MST phase leaves a large component graph, so both SQ-MST calls
+  // carry load: their sketch stage and guardians run on the engine's pool.
+  Rng gen{4242};
+  const CliqueWeights weights =
+      CliqueWeights::from_graph(random_weighted_clique(160, gen));
+  struct Run {
+    ExactMstResult result;
+    Metrics metrics;
+    std::uint64_t observed{0xcbf29ce484222325ULL};
+  };
+  const auto run = [&](std::uint32_t threads) {
+    Run out;
+    CliqueEngine engine{{.n = 160, .threads = threads}};
+    engine.set_observer([&](VertexId s, VertexId d) {
+      for (std::uint64_t word : {std::uint64_t{s}, std::uint64_t{d}}) {
+        out.observed ^= word;
+        out.observed *= 0x100000001b3ULL;
+      }
+    });
+    Rng rng{99};
+    out.result = exact_mst(engine, weights, rng, /*phase_override=*/1);
+    out.metrics = engine.metrics();
+    return out;
+  };
+  const Run a = run(1);
+  const Run b = run(4);
+  EXPECT_TRUE(a.result.monte_carlo_ok);
+  EXPECT_EQ(a.result.monte_carlo_ok, b.result.monte_carlo_ok);
+  EXPECT_GT(a.result.sampled_edges, 0u);
+  EXPECT_EQ(a.result.g1_edges, b.result.g1_edges);
+  EXPECT_EQ(a.result.sampled_edges, b.result.sampled_edges);
+  EXPECT_EQ(a.result.f_light_edges, b.result.f_light_edges);
+  ASSERT_EQ(a.result.mst.size(), b.result.mst.size());
+  for (std::size_t i = 0; i < a.result.mst.size(); ++i) {
+    EXPECT_EQ(a.result.mst[i].u, b.result.mst[i].u);
+    EXPECT_EQ(a.result.mst[i].v, b.result.mst[i].v);
+    EXPECT_EQ(a.result.mst[i].w, b.result.mst[i].w);
+  }
+  expect_same_metrics(b.metrics, a.metrics);
+  EXPECT_EQ(a.observed, b.observed);
 }
 
 }  // namespace
