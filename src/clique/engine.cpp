@@ -1,6 +1,7 @@
 #include "clique/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -91,6 +92,43 @@ CliqueEngine::~CliqueEngine() = default;
 unsigned CliqueEngine::resolved_threads() const {
   return config_.threads == 0 ? ThreadPool::hardware_threads()
                               : config_.threads;
+}
+
+unsigned CliqueEngine::local_lanes(std::size_t items) const {
+  return static_cast<unsigned>(
+      std::min<std::size_t>(items, resolved_threads()));
+}
+
+void CliqueEngine::run_local(
+    std::size_t items,
+    const std::function<void(unsigned, std::size_t)>& body) {
+  const unsigned lanes = local_lanes(items);
+  if (lanes <= 1) {
+    for (std::size_t i = 0; i < items; ++i) body(0, i);
+    return;
+  }
+  if (!pool_) pool_ = std::make_unique<ThreadPool>(resolved_threads());
+  std::atomic<std::size_t> next{0};
+  std::vector<std::size_t> failed_at(lanes, items);
+  std::vector<std::exception_ptr> errors(lanes);
+  pool_->run(lanes, [&](unsigned lane) {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= items) return;
+      try {
+        body(lane, i);
+      } catch (...) {
+        errors[lane] = std::current_exception();
+        failed_at[lane] = i;
+        return;
+      }
+    }
+  });
+  // Items are claimed in ascending order and a lane stops at its first
+  // failure, so the smallest recorded item is the first a serial loop
+  // would have failed on.
+  const auto first = std::min_element(failed_at.begin(), failed_at.end());
+  if (*first < items) std::rethrow_exception(errors[first - failed_at.begin()]);
 }
 
 void CliqueEngine::require_id_knowledge(const char* who) const {

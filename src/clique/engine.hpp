@@ -278,6 +278,22 @@ class CliqueEngine {
                                            std::uint32_t rounds,
                                            const FusedSend& send);
 
+  /// Local computation on the engine's worker pool: run body(lane, item)
+  /// once for every item in [0, items), on local_lanes(items) lanes that
+  /// claim items in ascending order. No two items of one lane run at once,
+  /// so a body may reuse lane-private scratch indexed by `lane`. Like the
+  /// sharded round path this is invisible to the model: when each body
+  /// writes only its own item's pre-assigned results and callers merge
+  /// them in item order, output is identical for every
+  /// EngineConfig::threads. Bodies must not run engine rounds. If bodies
+  /// throw, the smallest failing item's exception is rethrown once every
+  /// lane has stopped — the one a serial loop would have thrown.
+  void run_local(std::size_t items,
+                 const std::function<void(unsigned, std::size_t)>& body);
+  /// Lanes run_local(items) runs on: min(items, EngineConfig::threads),
+  /// with threads == 0 meaning all hardware threads.
+  unsigned local_lanes(std::size_t items) const;
+
   /// Advance the round counter by `k` silent rounds in O(1) work (virtual
   /// time). No messages move. Throws ProtocolError if the 64-bit round
   /// counter would overflow (clock coding passes super-polynomial k).
@@ -396,7 +412,7 @@ class CliqueEngine {
   std::vector<bool> sender_seen_;     // duplicate-sender scratch
   RoundBuffer arena_;                 // delivery arena, reused across rounds
   std::vector<Shard> shards_;         // per-shard state, reused
-  std::unique_ptr<ThreadPool> pool_;  // created on first parallel round
+  std::unique_ptr<ThreadPool> pool_;  // created on first parallel use
   std::uint64_t last_round_messages_{0};  // volume prediction for auto lanes
   // Merge scratch, reused across windows.
   std::vector<std::uint64_t> round_msgs_;    // messages per sub-round

@@ -12,7 +12,6 @@ void RoundBuffer::reset(std::uint32_t n, std::uint32_t rounds, bool packed) {
   committed_ = false;
   decoded_ = false;
   src_width_ = n > 0 ? packed::src_width(n) : 1;
-  slots_.clear();
   const std::size_t buckets = static_cast<std::size_t>(n) * rounds;
   offsets_.assign(buckets + 1, 0);
   if (packed_)
@@ -49,7 +48,7 @@ void RoundBuffer::commit_counts() {
     const std::size_t need = byte_offsets_.back() + packed::kBufferSlack;
     if (bytes_.size() < need) bytes_.resize(need);
   } else {
-    slots_.resize(offsets_.back());
+    reserve_slots();
     cursor_.assign(offsets_.begin(), offsets_.end() - 1);
   }
 }
@@ -62,20 +61,26 @@ Message& RoundBuffer::place(VertexId dst) {
   std::size_t& at = cursor_[b];
   CLIQUE_DCHECK(at < offsets_[b + 1],
                 "RoundBuffer::place: bucket overfilled vs announced count");
-  return slots_[at++];
+  return slots_.data()[at++];
+}
+
+void RoundBuffer::reserve_slots() const {
+  if (slots_.size() < offsets_.back())
+    slots_ = UninitializedArray<Message>(offsets_.back());
 }
 
 void RoundBuffer::decode_all() const {
   // Driver-thread-only (documented in the header): inbox spans handed out
   // before this ran do not exist — the first access runs it.
-  slots_.resize(offsets_.back());
+  reserve_slots();
   const std::size_t buckets = static_cast<std::size_t>(n_) * rounds_;
   for (std::size_t b = 0; b < buckets; ++b) {
     const auto v = static_cast<VertexId>(b / rounds_);
     const std::uint8_t* p = bytes_.data() + byte_offsets_[b];
     const std::uint8_t* const end = bytes_.data() + byte_offsets_[b + 1];
     std::size_t slot = offsets_[b];
-    while (p < end) p += packed::decode(p, src_width_, v, slots_[slot++]);
+    while (p < end)
+      p += packed::decode(p, src_width_, v, slots_.data()[slot++]);
     CLIQUE_DCHECK(p == end && slot == offsets_[b + 1],
                   "RoundBuffer::decode_all: bucket bytes and slots must "
                   "tile exactly");

@@ -43,6 +43,7 @@
 #include "clique/packed_message.hpp"
 #include "graph/graph.hpp"
 #include "util/error.hpp"
+#include "util/uninitialized_array.hpp"
 
 namespace ccq {
 
@@ -130,6 +131,7 @@ class RoundBuffer {
 
  private:
   void decode_all() const;
+  void reserve_slots() const;
 
   std::uint32_t n_{0};
   std::uint32_t rounds_{1};
@@ -139,8 +141,11 @@ class RoundBuffer {
   // Decode happens behind const accessors (inbox on a const arena ref);
   // driver-thread-only, like reset/commit.
   mutable bool decoded_{false};
-  mutable std::vector<Message> slots_;  // bucket-sorted messages (unpacked
-                                        // always; packed after decode)
+  // Bucket-sorted messages (unpacked always; packed after decode), grown
+  // never shrunk. Placement and decode write every slot before it can be
+  // read, so growth never zero-fills: the first pass over a fresh arena
+  // is its placement.
+  mutable UninitializedArray<Message> slots_;
   std::vector<std::size_t> offsets_;    // counting: offsets_[b+1] = count(b);
                                         // committed: prefix sums, n*rounds+1
   std::vector<std::uint8_t> bytes_;     // packed record arena (grow-only)

@@ -247,6 +247,58 @@ std::vector<std::uint32_t> konig_edge_coloring(
   return color;
 }
 
+/// The run graph of a relayed (src, dst) sequence, built one pair at a
+/// time: one edge per *run*, a maximal stretch of equal consecutive pairs.
+/// The sequence is uniform bundles when every run has one length k >= 2
+/// and the run graph's max degree delta_S is at most n; coloring() then
+/// colours the runs with exactly delta_S colours, and the j-th pair of run
+/// r takes colour j * delta_S + c(r). Memory is O(runs).
+class RunGraph {
+ public:
+  void push(std::uint32_t src, std::uint32_t dst) {
+    if (!runs_.empty() && runs_.back() == std::pair{src, dst}) {
+      ++length_;
+      return;
+    }
+    close_run();
+    runs_.emplace_back(src, dst);
+    length_ = 1;
+  }
+
+  /// The run colours (exactly delta_S of them) when the sequence is
+  /// uniform bundles on an n-node clique, else empty.
+  std::vector<std::uint32_t> coloring(std::uint32_t n) {
+    close_run();
+    length_ = 0;
+    if (!uniform_ || k_ < 2) return {};
+    std::vector<std::uint32_t> degl(n, 0);
+    std::vector<std::uint32_t> degr(n, 0);
+    delta_ = 0;
+    for (const auto& [u, v] : runs_) {
+      check(u < n && v < n, "uniform_bundle_coloring: endpoint out of range");
+      delta_ = std::max({delta_, ++degl[u], ++degr[v]});
+    }
+    if (delta_ > n) return {};
+    return konig_edge_coloring(runs_, n, delta_);
+  }
+
+  std::size_t k() const { return k_; }
+  std::uint32_t delta() const { return delta_; }
+
+ private:
+  void close_run() {
+    if (length_ == 0) return;
+    if (k_ == 0) k_ = length_;
+    if (length_ != k_) uniform_ = false;
+  }
+
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> runs_;
+  std::size_t length_{0};  // pairs in the open run
+  std::size_t k_{0};       // length of the first run
+  bool uniform_{true};
+  std::uint32_t delta_{0};
+};
+
 /// Colouring for packet sets that are not uniform bundles. Overload
 /// pre-pass: when a few nodes carry load far above n (e.g. a coordinator
 /// absorbing n*polylog sketches), one colouring of the whole multigraph
@@ -375,60 +427,38 @@ std::vector<std::uint32_t> bipartite_edge_coloring(
 std::vector<std::uint32_t> uniform_bundle_coloring(
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
     std::uint32_t n) {
-  // One run graph edge per maximal stretch of equal consecutive pairs; the
-  // set is uniform when every stretch has the same length k >= 2.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> runs;
-  std::size_t k = 0;
-  for (std::size_t i = 0; i < edges.size();) {
-    std::size_t j = i + 1;
-    while (j < edges.size() && edges[j] == edges[i]) ++j;
-    if (runs.empty()) k = j - i;
-    if (j - i != k) return {};
-    runs.push_back(edges[i]);
-    i = j;
-  }
-  if (k < 2) return {};
-  std::uint32_t delta = 0;
-  {
-    std::vector<std::uint32_t> degl(n, 0);
-    std::vector<std::uint32_t> degr(n, 0);
-    for (const auto& [u, v] : runs) {
-      check(u < n && v < n, "uniform_bundle_coloring: endpoint out of range");
-      delta = std::max({delta, ++degl[u], ++degr[v]});
-    }
-  }
-  if (delta > n) return {};
-  const auto run_color = konig_edge_coloring(runs, n, delta);
+  RunGraph runs;
+  for (const auto& [src, dst] : edges) runs.push(src, dst);
+  const auto run_color = runs.coloring(n);
+  if (run_color.empty()) return {};
   // The j-th packet of a run takes colour j * delta + c(run): within one
   // colour the packets are the j-th of runs sharing c, a matching.
   std::vector<std::uint32_t> color(edges.size());
-  for (std::size_t r = 0; r < runs.size(); ++r)
-    for (std::size_t j = 0; j < k; ++j)
-      color[r * k + j] = static_cast<std::uint32_t>(j) * delta + run_color[r];
+  for (std::size_t r = 0; r < run_color.size(); ++r)
+    for (std::size_t j = 0; j < runs.k(); ++j)
+      color[r * runs.k() + j] =
+          static_cast<std::uint32_t>(j) * runs.delta() + run_color[r];
   return color;
 }
 
 void route_packets_into(CliqueEngine& engine,
-                        const std::vector<Packet>& packets, RoundBuffer& out,
+                        std::span<const Packet> packets, RoundBuffer& out,
                         RouteStats* stats) {
   const std::uint32_t n = engine.n();
   TraceScope trace_scope{engine, "comm/route"};
   out.reset(n);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-  std::vector<std::size_t> packet_of_edge;
-  edges.reserve(packets.size());
-  packet_of_edge.reserve(packets.size());
   std::vector<std::uint64_t> send_load(n, 0);
   std::vector<std::uint64_t> recv_load(n, 0);
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    const Packet& p = packets[i];
+  RunGraph runs;
+  std::size_t relayed = 0;
+  for (const Packet& p : packets) {
     check(p.src < n && p.dst < n, "route_packets_into: endpoint out of range");
     out.add_count(p.dst);
     if (p.src == p.dst) continue;  // local delivery is free in the model
-    edges.emplace_back(p.src, p.dst);
-    packet_of_edge.push_back(i);
+    runs.push(p.src, p.dst);
     ++send_load[p.src];
     ++recv_load[p.dst];
+    ++relayed;
   }
   out.commit_counts();
   // Local deliveries land first in each inbox, in packet order.
@@ -442,17 +472,50 @@ void route_packets_into(CliqueEngine& engine,
   RouteStats local{};
   local.max_send_load = *std::max_element(send_load.begin(), send_load.end());
   local.max_recv_load = *std::max_element(recv_load.begin(), recv_load.end());
-  if (!edges.empty()) {
+  if (relayed > 0) {
     // Uniform bundles (every run of equal consecutive pairs one length,
     // the SQ-MST and GC sketch shape) get the optimal k * delta_S colours
-    // from one colouring of the small run graph; every other packet set
-    // keeps the wave + Euler colouring.
-    std::vector<std::uint32_t> color = uniform_bundle_coloring(edges, n);
-    if (color.empty())
+    // from one colouring of the small run graph, expanded per packet on the
+    // fly, so their scratch is O(runs). Every other packet set keeps the
+    // wave + Euler colouring over a per-packet edge list.
+    const std::vector<std::uint32_t> run_color = runs.coloring(n);
+    std::vector<std::size_t> packet_of_edge;
+    std::vector<std::uint32_t> color;
+    if (run_color.empty()) {
+      std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+      edges.reserve(relayed);
+      packet_of_edge.reserve(relayed);
+      for (std::size_t i = 0; i < packets.size(); ++i) {
+        if (packets[i].src == packets[i].dst) continue;
+        edges.emplace_back(packets[i].src, packets[i].dst);
+        packet_of_edge.push_back(i);
+      }
       color = wave_edge_coloring(edges, n, local.max_send_load,
                                  local.max_recv_load);
+    }
+    // Visit the relayed packets in packet order with their colours.
+    const auto for_each_relayed = [&](auto&& visit) {
+      if (run_color.empty()) {
+        for (std::size_t e = 0; e < packet_of_edge.size(); ++e)
+          visit(packets[packet_of_edge[e]], color[e]);
+        return;
+      }
+      std::size_t r = 0;
+      std::uint32_t j = 0;
+      for (const Packet& p : packets) {
+        if (p.src == p.dst) continue;
+        visit(p, j * runs.delta() + run_color[r]);
+        if (++j == runs.k()) {
+          j = 0;
+          ++r;
+        }
+      }
+    };
     const std::uint32_t num_colors =
-        1 + *std::max_element(color.begin(), color.end());
+        run_color.empty()
+            ? 1 + *std::max_element(color.begin(), color.end())
+            : static_cast<std::uint32_t>(runs.k() - 1) * runs.delta() + 1 +
+                  *std::max_element(run_color.begin(), run_color.end());
     // Colors are grouped into batches of up to `n * messages_per_link`
     // simultaneous relays; each batch is delivered in two rounds
     // (src -> relay, relay -> dst), bandwidth-legal because within one
@@ -464,13 +527,13 @@ void route_packets_into(CliqueEngine& engine,
     // Group packet counts/words per batch for exact accounting.
     std::vector<std::uint64_t> batch_msgs(batches, 0);
     std::vector<std::uint64_t> batch_words(batches, 0);
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      const std::uint64_t b = color[e] / colors_per_batch;
+    for_each_relayed([&](const Packet& p, std::uint32_t c) {
+      const std::uint64_t b = c / colors_per_batch;
       batch_msgs[b] += 2;  // two hops
       // Relay hop carries the final destination alongside the payload: one
       // extra O(log n)-bit word.
-      batch_words[b] += 2ull * packets[packet_of_edge[e]].msg.count + 1;
-    }
+      batch_words[b] += 2ull * p.msg.count + 1;
+    });
     for (std::uint64_t b = 0; b < batches; ++b) {
       engine.charge_verified_round(batch_msgs[b] / 2 + batch_msgs[b] % 2,
                                    (batch_words[b] + 1) / 2);
@@ -479,37 +542,34 @@ void route_packets_into(CliqueEngine& engine,
     for (std::uint64_t r = 0; r < kScheduleRounds; ++r)
       engine.charge_verified_round(0, 0);
     if (engine.has_observer()) {
-      for (std::size_t e = 0; e < edges.size(); ++e) {
-        const VertexId relay =
-            static_cast<VertexId>(color[e] % n);
-        engine.observe(edges[e].first, relay);
-        engine.observe(relay, edges[e].second);
-      }
+      for_each_relayed([&](const Packet& p, std::uint32_t c) {
+        const auto relay = static_cast<VertexId>(c % n);
+        engine.observe(p.src, relay);
+        engine.observe(relay, p.dst);
+      });
     }
     // Per-hop load attribution, mirroring the observer replay above: hop 1
     // carries the payload plus the one-word destination header, hop 2 the
     // payload alone, summing to the charged batch totals. The profile
-    // pointer is hoisted out of the per-edge loop (this is the hot
+    // pointer is hoisted out of the per-packet loop (this is the hot
     // attribution site that justifies src/comm's slot in CL006's
     // allowlist).
     if (LoadProfile* load = engine.load_profile()) {
-      for (std::size_t e = 0; e < edges.size(); ++e) {
-        const VertexId relay = static_cast<VertexId>(color[e] % n);
-        const std::uint64_t payload = packets[packet_of_edge[e]].msg.count;
-        load->add_flow(edges[e].first, relay, 1, payload + 1);
-        load->add_flow(relay, edges[e].second, 1, payload);
-      }
+      for_each_relayed([&](const Packet& p, std::uint32_t c) {
+        const auto relay = static_cast<VertexId>(c % n);
+        load->add_flow(p.src, relay, 1, p.msg.count + 1);
+        load->add_flow(relay, p.dst, 1, p.msg.count);
+      });
     }
     local.rounds = 2 * batches + kScheduleRounds;
     local.color_batches = batches;
-    // Deliver.
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      const Packet& p = packets[packet_of_edge[e]];
+    // Deliver, in packet order.
+    for_each_relayed([&](const Packet& p, std::uint32_t) {
       Message& m = out.place(p.dst);
       m = p.msg;
       m.src = p.src;
       m.dst = p.dst;
-    }
+    });
   }
   if (stats) *stats = local;
 }

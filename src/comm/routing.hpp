@@ -41,10 +41,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "clique/engine.hpp"
 #include "clique/round_buffer.hpp"
+#include "util/uninitialized_array.hpp"
 
 namespace ccq {
 
@@ -53,6 +55,10 @@ struct Packet {
   VertexId dst{0};
   Message msg;
 };
+
+/// Exact-size packet storage whose slots start unwritten: the packetizer
+/// that fills a slice is its first touch.
+using PacketArray = UninitializedArray<Packet>;
 
 struct RouteStats {
   std::uint64_t rounds{0};
@@ -73,7 +79,7 @@ inline constexpr std::uint64_t kScheduleRounds = 2;
 /// (local "sends" are free in the model). Per-inbox order: local deliveries
 /// in packet order, then relayed ones in packet order.
 void route_packets_into(CliqueEngine& engine,
-                        const std::vector<Packet>& packets, RoundBuffer& out,
+                        std::span<const Packet> packets, RoundBuffer& out,
                         RouteStats* stats = nullptr);
 
 /// Proper edge coloring of the bipartite multigraph {(src_i, dst_i)} via

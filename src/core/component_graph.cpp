@@ -2,16 +2,21 @@
 
 #include <algorithm>
 
+#include "lotker/cc_mst.hpp"
 #include "util/error.hpp"
 
 namespace ccq {
 
 namespace {
 
-ComponentGraph build_impl(CliqueEngine& engine,
-                          const std::vector<WeightedEdge>& edges,
-                          std::uint32_t n,
-                          const std::vector<VertexId>& leader_of) {
+/// BUILDCOMPONENTGRAPH over any edge source: `incident(u)` is u's incident
+/// edge range and `edge(u, h)` the h-th edge in it. Intra-component edges
+/// are skipped, and nothing depends on the order within a range: equal
+/// keys are equal edges.
+template <typename Incident, typename EdgeAt>
+ComponentGraph build_impl(CliqueEngine& engine, std::uint32_t n,
+                          const std::vector<VertexId>& leader_of,
+                          Incident incident, EdgeAt edge) {
   check(leader_of.size() == n, "build_component_graph: bad labelling");
   ComponentGraph out;
   std::vector<std::uint8_t> is_leader(n, 0);
@@ -21,6 +26,80 @@ ComponentGraph build_impl(CliqueEngine& engine,
   }
   for (VertexId v = 0; v < n; ++v)
     if (is_leader[v]) out.leaders.push_back(v);
+  // Per node, the lightest incident edge into each foreign component — the
+  // content of the single round of messages (node -> foreign leader), one
+  // message per touched leader. best[leader] is valid where stamp[leader]
+  // is the node's id + 1.
+  struct Report {
+    ComponentPair pair;
+    VertexId u;
+    std::uint32_t h;  // the edge: edge(u, h)
+  };
+  std::vector<Report> messages;
+  std::vector<std::uint32_t> stamp(n, 0);
+  std::vector<std::uint32_t> best(n, 0);
+  std::vector<VertexId> touched;
+  for (VertexId u = 0; u < n; ++u) {
+    touched.clear();
+    const std::uint32_t count = incident(u);
+    for (std::uint32_t h = 0; h < count; ++h) {
+      const WeightedEdge e = edge(u, h);
+      const VertexId foreign = leader_of[e.u == u ? e.v : e.u];
+      if (foreign == leader_of[u]) continue;
+      if (stamp[foreign] != u + 1) {
+        stamp[foreign] = u + 1;
+        best[foreign] = h;
+        touched.push_back(foreign);
+      } else if (e.key() < edge(u, best[foreign]).key()) {
+        best[foreign] = h;
+      }
+    }
+    // Sorted leader order: the observe / attribute_load sequence is
+    // deterministic output.
+    std::sort(touched.begin(), touched.end());
+    for (VertexId foreign : touched) {
+      // u can never be another component's leader, so every entry is a
+      // real message u -> foreign.
+      engine.observe(u, foreign);
+      engine.attribute_load(u, foreign, 1, 3);
+      messages.push_back(
+          {component_pair(leader_of[u], foreign), u, best[foreign]});
+    }
+  }
+  // One round: every node sends at most one message per distinct foreign
+  // leader (distinct destinations); each message carries (u, v, w).
+  const std::uint64_t message_count = messages.size();
+  engine.charge_verified_round(message_count, message_count * 3);
+  // Each leader pair keeps its lightest witness (equal keys are equal
+  // edges). The messages arrive in runs already ordered by pair, which
+  // merge sort exploits: stable_sort beats std::sort by about 1.5x on the
+  // n = 512 EXACT-MST shape.
+  std::stable_sort(
+      messages.begin(), messages.end(),
+      [](const Report& a, const Report& b) { return a.pair < b.pair; });
+  std::vector<std::uint8_t> active(n, 0);
+  for (std::size_t i = 0; i < messages.size();) {
+    WeightedEdge lightest = edge(messages[i].u, messages[i].h);
+    std::size_t j = i + 1;
+    for (; j < messages.size() && messages[j].pair == messages[i].pair; ++j) {
+      const WeightedEdge e = edge(messages[j].u, messages[j].h);
+      if (e.key() < lightest.key()) lightest = e;
+    }
+    out.witness.emplace_hint(out.witness.end(), messages[i].pair, lightest);
+    active[messages[i].pair.first] = 1;
+    active[messages[i].pair.second] = 1;
+    i = j;
+  }
+  for (VertexId v = 0; v < n; ++v)
+    if (active[v]) out.active_leaders.push_back(v);
+  return out;
+}
+
+ComponentGraph build_from_list(CliqueEngine& engine,
+                               const std::vector<WeightedEdge>& edges,
+                               std::uint32_t n,
+                               const std::vector<VertexId>& leader_of) {
+  check(leader_of.size() == n, "build_component_graph: bad labelling");
   // CSR of every node's inter-component edges.
   std::vector<std::uint32_t> offsets(n + 1, 0);
   for (const auto& e : edges)
@@ -39,70 +118,12 @@ ComponentGraph build_impl(CliqueEngine& engine,
       incident[next[e.v]++] = i;
     }
   }
-  // Per node, the lightest incident edge into each foreign component — the
-  // content of the single round of messages (node -> foreign leader), one
-  // message per touched leader. best[leader] is valid where stamp[leader]
-  // is the node's id + 1.
-  struct Report {
-    ComponentPair pair;
-    std::uint32_t edge;
-  };
-  std::vector<Report> messages;
-  std::vector<std::uint32_t> stamp(n, 0);
-  std::vector<std::uint32_t> best(n, 0);
-  std::vector<VertexId> touched;
-  for (VertexId u = 0; u < n; ++u) {
-    touched.clear();
-    for (std::uint32_t i = offsets[u]; i < offsets[u + 1]; ++i) {
-      const WeightedEdge& e = edges[incident[i]];
-      const VertexId foreign = leader_of[e.u == u ? e.v : e.u];
-      if (stamp[foreign] != u + 1) {
-        stamp[foreign] = u + 1;
-        best[foreign] = incident[i];
-        touched.push_back(foreign);
-      } else if (e.key() < edges[best[foreign]].key()) {
-        best[foreign] = incident[i];
-      }
-    }
-    // Sorted leader order: the observe / attribute_load sequence is
-    // deterministic output.
-    std::sort(touched.begin(), touched.end());
-    for (VertexId foreign : touched) {
-      // u can never be another component's leader, so every entry is a
-      // real message u -> foreign.
-      engine.observe(u, foreign);
-      engine.attribute_load(u, foreign, 1, 3);
-      messages.push_back(
-          {component_pair(leader_of[u], foreign), best[foreign]});
-    }
-  }
-  // One round: every node sends at most one message per distinct foreign
-  // leader (distinct destinations); each message carries (u, v, w).
-  const std::uint64_t message_count = messages.size();
-  engine.charge_verified_round(message_count, message_count * 3);
-  // Each leader pair keeps its lightest witness (equal keys are equal
-  // edges). The messages arrive in runs already ordered by pair, which
-  // merge sort exploits: stable_sort beats std::sort by about 1.5x on the
-  // n = 512 EXACT-MST shape.
-  std::stable_sort(
-      messages.begin(), messages.end(),
-      [](const Report& a, const Report& b) { return a.pair < b.pair; });
-  std::vector<std::uint8_t> active(n, 0);
-  for (std::size_t i = 0; i < messages.size();) {
-    std::uint32_t lightest = messages[i].edge;
-    std::size_t j = i + 1;
-    for (; j < messages.size() && messages[j].pair == messages[i].pair; ++j)
-      if (edges[messages[j].edge].key() < edges[lightest].key())
-        lightest = messages[j].edge;
-    out.witness.emplace_hint(out.witness.end(), messages[i].pair,
-                             edges[lightest]);
-    active[messages[i].pair.first] = 1;
-    active[messages[i].pair.second] = 1;
-    i = j;
-  }
-  for (VertexId v = 0; v < n; ++v)
-    if (active[v]) out.active_leaders.push_back(v);
-  return out;
+  return build_impl(
+      engine, n, leader_of,
+      [&](VertexId u) { return offsets[u + 1] - offsets[u]; },
+      [&](VertexId u, std::uint32_t h) {
+        return edges[incident[offsets[u] + h]];
+      });
 }
 
 }  // namespace
@@ -112,13 +133,27 @@ ComponentGraph build_component_graph(CliqueEngine& engine, const Graph& g,
   std::vector<WeightedEdge> edges;
   edges.reserve(g.num_edges());
   for (const auto& e : g.edges()) edges.emplace_back(e.u, e.v, 1);
-  return build_impl(engine, edges, g.num_vertices(), leader_of);
+  return build_from_list(engine, edges, g.num_vertices(), leader_of);
 }
 
 ComponentGraph build_component_graph_weighted(
     CliqueEngine& engine, const std::vector<WeightedEdge>& edges,
     std::uint32_t n, const std::vector<VertexId>& leader_of) {
-  return build_impl(engine, edges, n, leader_of);
+  return build_from_list(engine, edges, n, leader_of);
+}
+
+ComponentGraph build_component_graph_weighted(
+    CliqueEngine& engine, const FiniteAdjacency& input,
+    const std::vector<VertexId>& leader_of) {
+  return build_impl(
+      engine, input.n(), leader_of,
+      [&](VertexId u) {
+        return static_cast<std::uint32_t>(input.arcs(u).size());
+      },
+      [&](VertexId u, std::uint32_t h) {
+        const FiniteAdjacency::Arc arc = input.arcs(u)[h];
+        return WeightedEdge{u, arc.to, arc.w};
+      });
 }
 
 }  // namespace ccq

@@ -21,6 +21,8 @@
 
 namespace ccq {
 
+class FiniteAdjacency;
+
 /// Key for an unordered component pair (leaders, min first).
 using ComponentPair = std::pair<VertexId, VertexId>;
 
@@ -49,5 +51,12 @@ ComponentGraph build_component_graph(CliqueEngine& engine, const Graph& g,
 ComponentGraph build_component_graph_weighted(
     CliqueEngine& engine, const std::vector<WeightedEdge>& edges,
     std::uint32_t n, const std::vector<VertexId>& leader_of);
+
+/// The same, reading every node's incident edges straight from a CC-MST
+/// input's arcs (no edge list is built); the result is identical to the
+/// edge-list form over input.edges().
+ComponentGraph build_component_graph_weighted(
+    CliqueEngine& engine, const FiniteAdjacency& input,
+    const std::vector<VertexId>& leader_of);
 
 }  // namespace ccq

@@ -1,7 +1,6 @@
 #include "core/exact_mst.hpp"
 
 #include <limits>
-#include <utility>
 
 #include "clique/trace.hpp"
 #include "core/component_graph.hpp"
@@ -24,15 +23,21 @@ ExactMstResult run(CliqueEngine& engine, const CliqueWeights& weights,
 
   // --- Step 1: CC-MST preprocessing (phases == 0 in the wide variant).
   // CC-MST and Step 2 read only the finite pairs, which the adjacency
-  // gathers from the triangle once per run. Neither the adjacency nor
-  // Step 2's edge list outlives its use, so neither sits under the SQ-MST
-  // stages' memory.
+  // gathers from the triangle once per run; the wide variant, which runs
+  // no phase, reads them for Step 2 from one walk of the triangle instead.
+  // Neither outlives Step 2, so neither sits under the SQ-MST stages'
+  // memory.
+  //
+  // --- Step 2: weighted component graph G1. The MST subproblems run in
+  // the *contracted* space (endpoints are component leaders) — running them
+  // on raw witness endpoints would miss cycles among components. The
+  // witness map converts accepted contracted edges back to edges of G.
   std::vector<VertexId> leader_of(n);
   for (VertexId v = 0; v < n; ++v) leader_of[v] = v;
-  std::vector<WeightedEdge> finite;
-  {
+  ComponentGraph g1;
+  if (phases > 0) {
     const FiniteAdjacency input{weights};
-    if (phases > 0) {
+    {
       TraceScope step{engine, "cc-mst-preprocess"};
       const LotkerState state = cc_mst_phases(engine, input, phases);
       result.lotker_phases = state.phases_run;
@@ -53,19 +58,15 @@ ExactMstResult run(CliqueEngine& engine, const CliqueWeights& weights,
       }
       for (VertexId v = 0; v < n; ++v) leader_of[v] = min_of[uf.find(v)];
     }
-    finite = input.edges();
-  }
-
-  // --- Step 2: weighted component graph G1. The MST subproblems run in
-  // the *contracted* space (endpoints are component leaders) — running them
-  // on raw witness endpoints would miss cycles among components. The
-  // witness map converts accepted contracted edges back to edges of G.
-  ComponentGraph g1;
-  {
     TraceScope step{engine, "contract-component-graph"};
-    // The edge list is freed with the call, as the adjacency was above.
-    g1 = build_component_graph_weighted(engine, std::exchange(finite, {}), n,
-                                        leader_of);
+    g1 = build_component_graph_weighted(engine, input, leader_of);
+  } else {
+    std::vector<WeightedEdge> finite;
+    weights.for_each_finite([&](VertexId u, VertexId v, std::uint32_t w) {
+      finite.emplace_back(u, v, w);
+    });
+    TraceScope step{engine, "contract-component-graph"};
+    g1 = build_component_graph_weighted(engine, finite, n, leader_of);
   }
   std::vector<WeightedEdge> g1_edges;  // leader-space edges
   g1_edges.reserve(g1.witness.size());

@@ -1,7 +1,6 @@
 #include "core/sketch_and_span.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "clique/trace.hpp"
 #include "comm/primitives.hpp"
@@ -40,40 +39,58 @@ SketchAndSpanResult sketch_and_span(CliqueEngine& engine,
   const SketchSpace space{n, copies, seed};
 
   // --- Step 1: every active leader sketches its component-graph
-  // neighbourhood (edges between leader ids, as Section 2.2 prescribes).
-  // One adjacency pass over the witness map (not a per-leader scan, which
-  // would be O(active x |E(G1)|)).
-  std::unordered_map<VertexId, std::vector<Edge>> incident_of;
+  // neighbourhood (edges between leader ids, as Section 2.2 prescribes)
+  // into its lane block. One pass over the witness map, hashing each pair
+  // once for both endpoints (not a per-leader scan, which would be
+  // O(active x |E(G1)|)).
+  const std::vector<VertexId>& vertices = g1.active_leaders;
+  constexpr std::uint32_t kInactive = static_cast<std::uint32_t>(-1);
+  std::vector<std::uint32_t> position(n, kInactive);
+  for (std::size_t a = 0; a < vertices.size(); ++a)
+    position[vertices[a]] = static_cast<std::uint32_t>(a);
+  const std::size_t block = copies * space.cells();
+  SketchArena sketches;
+  sketches.phi.assign(vertices.size() * block, 0);
+  sketches.iota.assign(sketches.phi.size(), 0);
+  sketches.tau.assign(sketches.phi.size(), 0);
+  std::vector<SignatureEntry> signature;
   for (const auto& [pair, witness] : g1.witness) {
-    incident_of[pair.first].emplace_back(pair.first, pair.second);
-    incident_of[pair.second].emplace_back(pair.first, pair.second);
+    const Edge e{pair.first, pair.second};
+    const std::uint64_t idx = edge_index(e.u, e.v, n);
+    signature.clear();
+    space.append_signature(idx, signature);
+    for (const VertexId end : {e.u, e.v}) {
+      if (position[end] == kInactive) continue;
+      const std::size_t at = position[end] * block;
+      apply_signature(signature, idx, incidence_sign(end, e),
+                      sketches.phi.data() + at, sketches.iota.data() + at,
+                      sketches.tau.data() + at);
+    }
   }
-  // --- Step 2: route all sketches to v*.
-  std::vector<Packet> packets;
-  for (VertexId leader : g1.active_leaders) {
-    const auto& incident = incident_of[leader];
-    const auto sketches = space.sketch_vertex(leader, incident);
-    for (std::uint32_t j = 0; j < copies; ++j)
-      append_sketch_packets(packets, leader, coordinator, kTagSketch, j,
-                            sketches[j]);
-  }
+  // --- Step 2: route all sketches to v*, each leader's block packetized
+  // into its own slice.
+  const std::size_t per_leader = sketch_packet_count(space);
   RoundBuffer route_buf;
   {
+    PacketArray packets{vertices.size() * per_leader};
+    for (std::size_t a = 0; a < vertices.size(); ++a)
+      write_sketch_packets(packets.span().subspan(a * per_leader, per_leader),
+                           vertices[a], coordinator, kTagSketch, space,
+                           sketches.view().sketch(a, block));
     TraceScope step{engine, "route-sketches"};
-    route_packets_into(engine, packets, route_buf);
+    route_packets_into(engine, packets.span(), route_buf);
   }
 
-  // --- Step 3: v* locally reassembles and runs sketch Borůvka.
+  // --- Step 3: v* locally decodes its inbox and runs sketch Borůvka.
   SketchReassembler reassembler{space, kTagSketch};
-  for (const auto& m : route_buf.inbox(coordinator)) reassembler.add(m);
-  const std::vector<VertexId>& vertices = g1.active_leaders;
-  const SketchArena sketches = reassembler.take(vertices);
+  SketchArena received;
+  reassembler.decode(route_buf.inbox(coordinator), vertices, received);
   // In G1, supervertices *are* the leader ids; edges sampled from the
   // sketches have leader endpoints already.
   std::vector<VertexId> identity(n);
   for (VertexId v = 0; v < n; ++v) identity[v] = v;
   auto forest =
-      sketch_spanning_forest(space, vertices, identity, sketches.view());
+      sketch_spanning_forest(space, vertices, identity, received.view());
   result.monte_carlo_ok = !forest.ran_out_of_sketches;
   result.boruvka_rounds = forest.boruvka_rounds;
   result.component_forest = std::move(forest.forest);

@@ -1,7 +1,6 @@
 #include "core/sq_mst.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "comm/primitives.hpp"
 #include "comm/routing.hpp"
@@ -26,6 +25,19 @@ std::uint64_t edge_key(const WeightedEdge& e) {
   return (e.w << 32) | (static_cast<std::uint64_t>(e.u) << 16) | e.v;
 }
 
+/// Step 5 scratch of one engine lane, reused by every guardian it runs.
+struct GuardianLane {
+  SketchReassembler reassembler;
+  SketchArena sketches;
+};
+
+/// Step 5's output at one guardian: its MST edges M_i in rank order.
+struct GuardianResult {
+  std::vector<WeightedEdge> accepted;
+  bool ran_out_of_sketches{false};
+  std::uint32_t boruvka_rounds{0};
+};
+
 }  // namespace
 
 SqMstResult sq_mst(CliqueEngine& engine, std::uint32_t n,
@@ -35,33 +47,42 @@ SqMstResult sq_mst(CliqueEngine& engine, std::uint32_t n,
   engine.require_id_knowledge("sq_mst");
   if (edges.empty()) return result;
   const VertexId coordinator = 0;
+  const std::size_t m = edges.size();
 
   // --- Step 1: distributed sort. Each edge is owned (held as a sort key)
   // by its smaller endpoint.
   std::vector<std::vector<std::uint64_t>> keys(n);
   for (const auto& e : edges) keys[e.u].push_back(edge_key(e));
   const auto ranks = distributed_sort_ranks(engine, keys, rng);
-  // Owners now know the rank of each incident owned edge.
-  std::unordered_map<std::uint64_t, std::uint64_t> rank_of;  // key -> rank
-  rank_of.reserve(edges.size());
-  for (VertexId v = 0; v < n; ++v)
-    for (std::size_t i = 0; i < keys[v].size(); ++i)
-      rank_of[keys[v][i]] = ranks[v][i];
+  // Owners now know the rank of each owned edge. Their key lists are in
+  // edge order, so one cursor per owner reads every edge's rank; the ranks
+  // are a permutation of [0, m).
+  std::vector<std::uint64_t> rank(m);
+  std::vector<std::size_t> edge_of_rank(m);
+  {
+    std::vector<std::size_t> cursor(n, 0);
+    for (std::size_t e = 0; e < m; ++e) {
+      const VertexId owner = edges[e].u;
+      rank[e] = ranks[owner][cursor[owner]++];
+      check(rank[e] < m, "sq_mst: rank outside the edge count");
+      edge_of_rank[rank[e]] = e;
+    }
+  }
 
   // --- Step 2: partition by rank into p groups of n.
   const std::uint64_t group_size = n;
-  const auto p = static_cast<std::uint32_t>(
-      (edges.size() + group_size - 1) / group_size);
+  const auto p = static_cast<std::uint32_t>((m + group_size - 1) / group_size);
   result.partitions = p;
   check(p <= n, "sq_mst: more partitions than guardian nodes");
 
   // --- Step 3: gather E_i at guardian g(i) = node i.
   std::vector<Packet> edge_packets;
-  edge_packets.reserve(edges.size());
-  for (const auto& e : edges) {
-    const std::uint64_t r = rank_of.at(edge_key(e));
-    const auto guardian = static_cast<VertexId>(r / group_size);
-    edge_packets.push_back({e.u, guardian, msg3(kTagEdge, e.u, e.v, e.w)});
+  edge_packets.reserve(m);
+  for (std::size_t e = 0; e < m; ++e) {
+    const auto guardian = static_cast<VertexId>(rank[e] / group_size);
+    const WeightedEdge& we = edges[e];
+    edge_packets.push_back(
+        {we.u, guardian, msg3(kTagEdge, we.u, we.v, we.w)});
   }
   // Two caller-owned arenas: guardian_inbox is still read in Step 5, after
   // the sketches have been routed into sketch_inbox.
@@ -77,70 +98,135 @@ SqMstResult sq_mst(CliqueEngine& engine, std::uint32_t n,
   const auto seed = shared_random_words(
       engine, SketchSpace::seed_words_needed(n, copies), rng);
   const SketchSpace space{n, copies, seed};
-  // Each vertex accumulates its incident edges in rank order and snapshots
-  // the sketch collection at every group boundary (linearity makes the
-  // snapshots prefix sums). Only non-empty neighbourhoods are shipped; a
-  // missing sketch at a guardian is exactly a zero sketch.
-  std::vector<std::vector<std::pair<std::uint64_t, Edge>>> incident(n);
+  // Every vertex's incident edges in rank order (CSR, filled by ascending
+  // rank).
+  std::vector<std::size_t> first(n + 1, 0);
   for (const auto& e : edges) {
-    const std::uint64_t r = rank_of.at(edge_key(e));
-    incident[e.u].push_back({r, e.edge()});
-    incident[e.v].push_back({r, e.edge()});
+    ++first[e.u + 1];
+    ++first[e.v + 1];
   }
-  std::vector<Packet> sketch_packets;
-  for (VertexId v = 0; v < n; ++v) {
-    if (incident[v].empty()) continue;
-    std::sort(incident[v].begin(), incident[v].end());
-    auto acc = space.zero();
-    std::size_t consumed = 0;
-    for (std::uint32_t i = 1; i < p; ++i) {
-      // G_{i} contains ranks < i * group_size (groups are 0-based here:
-      // guardian i checks E_i against groups 0..i-1).
-      const std::uint64_t limit = static_cast<std::uint64_t>(i) * group_size;
-      while (consumed < incident[v].size() &&
-             incident[v][consumed].first < limit) {
-        const Edge& e = incident[v][consumed].second;
-        const std::uint64_t idx = edge_index(e.u, e.v, n);
-        const int sign = incidence_sign(v, e);
-        for (std::uint32_t j = 0; j < copies; ++j) acc[j].update(idx, sign);
-        ++consumed;
-      }
-      if (consumed == 0) continue;  // neighbourhood in G_i still empty
-      for (std::uint32_t j = 0; j < copies; ++j)
-        append_sketch_packets(sketch_packets, v, static_cast<VertexId>(i),
-                              kTagSketch, j, acc[j]);
+  for (VertexId v = 0; v < n; ++v) first[v + 1] += first[v];
+  std::vector<std::size_t> incident(2 * m);
+  {
+    std::vector<std::size_t> next(first.begin(), first.end() - 1);
+    for (const std::size_t e : edge_of_rank) {
+      incident[next[edges[e].u]++] = e;
+      incident[next[edges[e].v]++] = e;
     }
   }
-  route_packets_into(engine, sketch_packets, sketch_inbox,
-                     &result.sketch_route);
+  // A vertex snapshots its sketch collection at every group boundary i
+  // past the group of its lightest edge (G_i holds ranks < i * n; groups
+  // are 0-based, and guardian i checks E_i against groups 0..i-1).
+  // Linearity makes the snapshots prefix sums. Empty neighbourhoods ship
+  // nothing: a missing sketch at a guardian is exactly a zero sketch. So
+  // every vertex's packet slice is known before any sketch is built.
+  const std::size_t per_snapshot = sketch_packet_count(space);
+  std::vector<VertexId> active;               // non-empty neighbourhoods
+  std::vector<std::uint32_t> lightest_group;  // per active vertex
+  std::vector<std::size_t> slice{0};          // packet slice bounds
+  for (VertexId v = 0; v < n; ++v) {
+    if (first[v] == first[v + 1]) continue;
+    const auto g =
+        static_cast<std::uint32_t>(rank[incident[first[v]]] / group_size);
+    active.push_back(v);
+    lightest_group.push_back(g);
+    slice.push_back(slice.back() + (p - 1 - g) * per_snapshot);
+  }
+  {
+    // One signature per edge: its hash and fingerprints in all t copies,
+    // computed once and applied with +1 to u's block and -1 to v's.
+    std::vector<std::vector<SignatureEntry>> signature_store(
+        engine.local_lanes(m));
+    struct SignatureRef {
+      unsigned lane;
+      std::size_t begin;
+      std::size_t end;
+    };
+    std::vector<SignatureRef> signature_ref(m);
+    engine.run_local(m, [&](unsigned lane, std::size_t e) {
+      std::vector<SignatureEntry>& store = signature_store[lane];
+      const std::size_t begin = store.size();
+      space.append_signature(edge_index(edges[e].u, edges[e].v, n), store);
+      signature_ref[e] = {lane, begin, store.size()};
+    });
+    const auto signature = [&](std::size_t e) {
+      const SignatureRef& ref = signature_ref[e];
+      return std::span<const SignatureEntry>{signature_store[ref.lane]}
+          .subspan(ref.begin, ref.end - ref.begin);
+    };
+    // Each vertex accumulates its edges in rank order into one lane block
+    // and packetizes every snapshot straight into its own slice.
+    PacketArray sketch_packets{slice.back()};
+    const std::size_t block = copies * space.cells();
+    std::vector<SketchArena> accumulators(engine.local_lanes(active.size()));
+    engine.run_local(active.size(), [&](unsigned lane, std::size_t a) {
+      const VertexId v = active[a];
+      SketchArena& acc = accumulators[lane];
+      acc.phi.assign(block, 0);
+      acc.iota.assign(block, 0);
+      acc.tau.assign(block, 0);
+      std::span<Packet> out =
+          sketch_packets.span().subspan(slice[a], slice[a + 1] - slice[a]);
+      std::size_t next = first[v];
+      for (std::uint32_t i = lightest_group[a] + 1; i < p; ++i) {
+        const std::uint64_t limit = static_cast<std::uint64_t>(i) * group_size;
+        for (; next < first[v + 1] && rank[incident[next]] < limit; ++next) {
+          const WeightedEdge& e = edges[incident[next]];
+          apply_signature(signature(incident[next]),
+                          edge_index(e.u, e.v, n), v == e.u ? 1 : -1,
+                          acc.phi.data(), acc.iota.data(), acc.tau.data());
+        }
+        write_sketch_packets(out.first(per_snapshot), v,
+                             static_cast<VertexId>(i), kTagSketch, space,
+                             acc.view());
+        out = out.subspan(per_snapshot);
+      }
+    });
+    route_packets_into(engine, sketch_packets.span(), sketch_inbox,
+                       &result.sketch_route);
+  }
 
-  // --- Step 5: guardians work locally.
+  // --- Step 5: guardians work locally, in parallel on the engine's lanes.
+  // Guardian i holds the collections of exactly the vertices whose
+  // lightest edge lies in a group below i (guardian 0's G_0 is empty).
   std::vector<VertexId> identity(n);
   for (VertexId v = 0; v < n; ++v) identity[v] = v;
-  std::vector<Packet> mst_packets;
-  for (std::uint32_t i = 0; i < p; ++i) {
+  std::vector<GuardianLane> lanes;
+  for (unsigned l = 0; l < engine.local_lanes(p); ++l)
+    lanes.push_back({SketchReassembler{space, kTagSketch}, {}});
+  std::vector<GuardianResult> guardians(p);
+  engine.run_local(p, [&](unsigned lane, std::size_t i) {
     const auto guardian = static_cast<VertexId>(i);
-    // Reassemble sketches (guardian 0's G_0 is empty: no sketches).
-    SketchReassembler reassembler{space, kTagSketch};
-    for (const auto& m : sketch_inbox.inbox(guardian)) reassembler.add(m);
-    const std::vector<VertexId> vertices = reassembler.senders();
-    const SketchArena sketches = reassembler.take(vertices);
-    auto forest =
-        sketch_spanning_forest(space, vertices, identity, sketches.view());
-    if (forest.ran_out_of_sketches) result.monte_carlo_ok = false;
+    GuardianLane& scratch = lanes[lane];
+    std::vector<VertexId> senders;
+    for (std::size_t a = 0; a < active.size(); ++a)
+      if (lightest_group[a] < i) senders.push_back(active[a]);
+    scratch.reassembler.decode(sketch_inbox.inbox(guardian), senders,
+                               scratch.sketches);
+    const auto forest = sketch_spanning_forest(space, senders, identity,
+                                               scratch.sketches.view());
+    GuardianResult& out = guardians[i];
+    out.ran_out_of_sketches = forest.ran_out_of_sketches;
+    out.boruvka_rounds = forest.boruvka_rounds;
     // Kruskal filter over E_i in rank order against T_i connectivity.
     UnionFind uf{n};
     for (const Edge& e : forest.forest) uf.unite(e.u, e.v);
     std::vector<WeightedEdge> group;
-    for (const auto& m : guardian_inbox.inbox(guardian))
-      if (m.tag == kTagEdge)
-        group.emplace_back(static_cast<VertexId>(m.word(0)),
-                           static_cast<VertexId>(m.word(1)), m.word(2));
+    for (const auto& msg : guardian_inbox.inbox(guardian))
+      if (msg.tag == kTagEdge)
+        group.emplace_back(static_cast<VertexId>(msg.word(0)),
+                           static_cast<VertexId>(msg.word(1)), msg.word(2));
     std::sort(group.begin(), group.end(), weight_less);
     for (const auto& e : group)
-      if (uf.unite(e.u, e.v))
-        mst_packets.push_back(
-            {guardian, coordinator, msg3(kTagMst, e.u, e.v, e.w)});
+      if (uf.unite(e.u, e.v)) out.accepted.push_back(e);
+  });
+  std::vector<Packet> mst_packets;
+  for (std::uint32_t i = 0; i < p; ++i) {
+    if (guardians[i].ran_out_of_sketches) result.monte_carlo_ok = false;
+    result.boruvka_rounds += guardians[i].boruvka_rounds;
+    for (const auto& e : guardians[i].accepted)
+      mst_packets.push_back({static_cast<VertexId>(i), coordinator,
+                             msg3(kTagMst, e.u, e.v, e.w)});
   }
 
   // --- Step 6: collect M_1 ∪ ... ∪ M_p at v* and spray-broadcast.
@@ -148,10 +234,10 @@ SqMstResult sq_mst(CliqueEngine& engine, std::uint32_t n,
   RoundBuffer& mst_inbox = guardian_inbox;
   route_packets_into(engine, mst_packets, mst_inbox, &result.mst_route);
   std::vector<std::vector<std::uint64_t>> items;
-  for (const auto& m : mst_inbox.inbox(coordinator)) {
-    result.mst.emplace_back(static_cast<VertexId>(m.word(0)),
-                            static_cast<VertexId>(m.word(1)), m.word(2));
-    items.push_back({m.word(0), m.word(1), m.word(2)});
+  for (const auto& msg : mst_inbox.inbox(coordinator)) {
+    result.mst.emplace_back(static_cast<VertexId>(msg.word(0)),
+                            static_cast<VertexId>(msg.word(1)), msg.word(2));
+    items.push_back({msg.word(0), msg.word(1), msg.word(2)});
   }
   check(items.size() < n || items.empty(),
         "sq_mst: forest has more than n-1 edges");

@@ -35,6 +35,7 @@ struct SqMstResult {
   std::vector<WeightedEdge> mst;  // minimum spanning forest of (V', E')
   bool monte_carlo_ok{true};
   std::uint32_t partitions{0};    // p
+  std::uint32_t boruvka_rounds{0};  // sketch Borůvka rounds, all guardians
   RouteStats edge_route;    // Step 3: edge groups to guardians
   RouteStats sketch_route;  // Step 4: prefix sketches to guardians
   RouteStats mst_route;     // Step 6: M_1 ∪ ... ∪ M_p to v*

@@ -11,10 +11,6 @@
 
 namespace ccq {
 
-namespace {
-constexpr std::uint32_t kNoWeight = std::numeric_limits<std::uint32_t>::max();
-}
-
 CliqueWeights::CliqueWeights(std::uint32_t n)
     : n_(n), w_(static_cast<std::size_t>(n) * (n - 1) / 2, kNoWeight) {
   check(n >= 1, "CliqueWeights: need n >= 1");
@@ -70,20 +66,14 @@ FiniteAdjacency::FiniteAdjacency(const CliqueWeights& weights)
   // arcs are allocated once at their exact size; the second places them.
   // Row v receives its arcs to lower nodes (u ascending) before its own
   // upward ones, so each row ascends by neighbour.
-  const auto finite_pairs = [&](auto&& visit) {
-    std::size_t i = 0;
-    for (VertexId u = 0; u < n_; ++u)
-      for (VertexId v = u + 1; v < n_; ++v, ++i)
-        if (weights.w_[i] != kNoWeight) visit(u, v, weights.w_[i]);
-  };
-  finite_pairs([&](VertexId u, VertexId v, std::uint32_t) {
+  weights.for_each_finite([&](VertexId u, VertexId v, std::uint32_t) {
     ++first_[u + 1];
     ++first_[v + 1];
   });
   for (VertexId u = 0; u < n_; ++u) first_[u + 1] += first_[u];
   arcs_.resize(first_[n_]);
   std::vector<std::size_t> next(first_.begin(), first_.end() - 1);
-  finite_pairs([&](VertexId u, VertexId v, std::uint32_t w) {
+  weights.for_each_finite([&](VertexId u, VertexId v, std::uint32_t w) {
     arcs_[next[u]++] = {v, w};
     arcs_[next[v]++] = {u, w};
   });

@@ -46,6 +46,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -71,8 +72,19 @@ class CliqueWeights {
   void set(VertexId u, VertexId v, Weight w);
   WeightedEdge edge(VertexId u, VertexId v) const;
 
+  /// Visit every finite pair as visit(u, v, w), u < v, in one sequential
+  /// walk of the triangle ((u, v) ascending).
+  template <typename Visit>
+  void for_each_finite(Visit&& visit) const {
+    std::size_t i = 0;
+    for (VertexId u = 0; u < n_; ++u)
+      for (VertexId v = u + 1; v < n_; ++v, ++i)
+        if (w_[i] != kNoWeight) visit(u, v, w_[i]);
+  }
+
  private:
-  friend class FiniteAdjacency;
+  static constexpr std::uint32_t kNoWeight =
+      std::numeric_limits<std::uint32_t>::max();
   std::size_t slot(VertexId u, VertexId v) const;
 
   std::uint32_t n_;

@@ -209,26 +209,6 @@ void ConnectivityService::init_geometry() {
   deltas_of_.resize(config_.n);
 }
 
-ConnectivityService::Signature ConnectivityService::compute_signature(
-    std::uint64_t coord) const {
-  Signature sig;
-  sig.reserve(static_cast<std::size_t>(config_.copies) * 2);
-  const std::uint32_t buckets = space_->params().buckets;
-  for (std::uint32_t j = 0; j < config_.copies; ++j) {
-    const SketchFamily& family = space_->family(j);
-    const std::uint32_t top = family.level_of(coord);
-    const std::size_t copy_base = static_cast<std::size_t>(j) * cells_;
-    for (std::uint32_t level = 0; level <= top; ++level) {
-      const std::size_t cell = copy_base +
-                               static_cast<std::size_t>(level) * buckets +
-                               family.bucket_of(level, coord);
-      sig.push_back({static_cast<std::uint32_t>(cell),
-                     family.fingerprint(level, coord)});
-    }
-  }
-  return sig;
-}
-
 const ConnectivityService::Signature& ConnectivityService::signature_of(
     std::uint64_t coord,
     const std::unordered_map<std::uint64_t, Signature>& overflow) const {
@@ -333,8 +313,10 @@ BatchStats ConnectivityService::apply_batch(
     const auto sig_job = [&](unsigned t) {
       const auto [begin, end] = shard_range(missing.size(), shards, t);
       try {
-        for (std::size_t i = begin; i < end; ++i)
-          sigs[i] = compute_signature(missing[i]);
+        for (std::size_t i = begin; i < end; ++i) {
+          sigs[i].reserve(static_cast<std::size_t>(config_.copies) * 2);
+          space_->append_signature(missing[i], sigs[i]);
+        }
       } catch (...) {
         errors[t] = std::current_exception();
       }
@@ -371,14 +353,8 @@ BatchStats ConnectivityService::apply_batch(
         shard_count(touched.size(), kApplyShardGrain, pool_->size());
     const auto apply_coord = [&](const CoordDelta& cd, std::int64_t* phi,
                                  std::int64_t* iota, std::uint64_t* tau) {
-      const Signature& sig = signature_of(cd.key, overflow);
-      const auto coord = static_cast<std::int64_t>(cd.key);
-      for (const SigEntry& s : sig) {
-        phi[s.cell] += cd.c;
-        iota[s.cell] += cd.c * coord;
-        tau[s.cell] = cd.c > 0 ? field::add(tau[s.cell], s.fp)
-                               : field::sub(tau[s.cell], s.fp);
-      }
+      apply_signature(signature_of(cd.key, overflow), cd.key, cd.c, phi, iota,
+                      tau);
     };
     const auto apply_job = [&](unsigned t) {
       const auto [begin, end] = shard_range(touched.size(), shards, t);
@@ -753,21 +729,6 @@ ServiceStats ConnectivityService::stats() const {
   return s;
 }
 
-std::vector<L0Sketch> ConnectivityService::sketches_of_locked(
-    VertexId v) const {
-  std::vector<L0Sketch> out;
-  out.reserve(config_.copies);
-  const std::size_t base = static_cast<std::size_t>(v) * block_;
-  for (std::uint32_t j = 0; j < config_.copies; ++j) {
-    const std::size_t at = base + static_cast<std::size_t>(j) * cells_;
-    out.push_back(L0Sketch::from_lanes(
-        space_->family(j), std::span{phi_}.subspan(at, cells_),
-        std::span{iota_}.subspan(at, cells_),
-        std::span{tau_}.subspan(at, cells_)));
-  }
-  return out;
-}
-
 SketchForestResult ConnectivityService::recompute_local_locked() {
   // The resident lanes already are the SketchArena layout (vertex v's copy
   // j at block v * t + j), so Borůvka reads them in place.
@@ -788,22 +749,22 @@ SketchForestResult ConnectivityService::recompute_engine_locked() {
   RoundBuffer route_buf;
   {
     TraceScope step{*engine_, "collect-sketches"};
-    std::vector<Packet> packets;
-    packets.reserve(static_cast<std::size_t>(n) * config_.copies *
-                    sketch_message_count(*space_));
-    for (VertexId v = 0; v < n; ++v) {
-      const auto sketches = sketches_of_locked(v);
-      for (std::uint32_t j = 0; j < config_.copies; ++j)
-        append_sketch_packets(packets, v, coordinator, kTagServiceSketch, j,
-                              sketches[j]);
-    }
-    route_packets_into(*engine_, packets, route_buf);
+    // The resident lanes are already per-vertex blocks of t copies: each
+    // is packetized straight into its own slice.
+    const std::size_t per_vertex = sketch_packet_count(*space_);
+    const SketchLanes resident{phi_, iota_, tau_};
+    PacketArray packets{static_cast<std::size_t>(n) * per_vertex};
+    for (VertexId v = 0; v < n; ++v)
+      write_sketch_packets(packets.span().subspan(v * per_vertex, per_vertex),
+                           v, coordinator, kTagServiceSketch, *space_,
+                           resident.sketch(v, block_));
+    route_packets_into(*engine_, packets.span(), route_buf);
   }
-  SketchReassembler reassembler{*space_, kTagServiceSketch};
-  for (const Message& m : route_buf.inbox(coordinator)) reassembler.add(m);
   std::vector<VertexId> identity(n);
   for (VertexId v = 0; v < n; ++v) identity[v] = v;
-  const SketchArena sketches = reassembler.take(identity);
+  SketchReassembler reassembler{*space_, kTagServiceSketch};
+  SketchArena sketches;
+  reassembler.decode(route_buf.inbox(coordinator), identity, sketches);
   SketchForestResult forest =
       sketch_spanning_forest(*space_, identity, identity, sketches.view());
   {

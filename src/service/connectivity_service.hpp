@@ -255,11 +255,7 @@ class ConnectivityService {
   const Metrics& metrics() const { return engine_->metrics(); }
 
  private:
-  struct SigEntry {
-    std::uint32_t cell;   // copy * cells_per_copy + local cell
-    std::uint64_t fp;     // field fingerprint of the coordinate there
-  };
-  using Signature = std::vector<SigEntry>;
+  using Signature = std::vector<SignatureEntry>;
 
   struct RestoreTag {};
   ConnectivityService(const ServiceSnapshot& snap,
@@ -283,7 +279,6 @@ class ConnectivityService {
                     std::uint64_t latency_ns, std::uint64_t seq_end);
 
   void init_geometry();
-  Signature compute_signature(std::uint64_t coord) const;
   /// Look up (or transiently compute into `scratch`) a coordinate's
   /// signature; assumes the batch pre-pass already populated both maps.
   const Signature& signature_of(
@@ -292,7 +287,6 @@ class ConnectivityService {
   void refresh_index_locked();
   SketchForestResult recompute_engine_locked();
   SketchForestResult recompute_local_locked();
-  std::vector<L0Sketch> sketches_of_locked(VertexId v) const;
 
   ServiceConfig config_;  // copies resolved to the actual t
   std::vector<std::uint64_t> seed_words_;

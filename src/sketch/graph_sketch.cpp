@@ -59,6 +59,23 @@ std::vector<L0Sketch> SketchSpace::sketch_vertex(
   return out;
 }
 
+void SketchSpace::append_signature(std::uint64_t i,
+                                   std::vector<SignatureEntry>& out) const {
+  const std::uint32_t buckets = params_.buckets;
+  for (std::uint32_t j = 0; j < families_.size(); ++j) {
+    const SketchFamily& family = families_[j];
+    const std::uint32_t top = family.level_of(i);
+    const std::size_t copy_base = static_cast<std::size_t>(j) * cells();
+    for (std::uint32_t level = 0; level <= top; ++level) {
+      const std::size_t cell = copy_base +
+                               static_cast<std::size_t>(level) * buckets +
+                               family.bucket_of(level, i);
+      out.push_back({static_cast<std::uint32_t>(cell),
+                     family.fingerprint(level, i)});
+    }
+  }
+}
+
 std::vector<L0Sketch> SketchSpace::zero() const {
   std::vector<L0Sketch> out;
   out.reserve(families_.size());

@@ -32,12 +32,21 @@
 
 #include "graph/graph.hpp"
 #include "sketch/l0_sketch.hpp"
+#include "util/field.hpp"
 
 namespace ccq {
 
 /// Default number of independent sketch copies: enough for log2(n) Borůvka
 /// rounds plus retry headroom for sampler failures.
 std::uint32_t default_sketch_copies(std::uint32_t n);
+
+/// One detector cell a coordinate touches in a vertex's lane block: `cell`
+/// is copy * cells + level * buckets + bucket, `fp` the coordinate's
+/// fingerprint at that level.
+struct SignatureEntry {
+  std::uint32_t cell;
+  std::uint64_t fp;
+};
 
 class SketchSpace {
  public:
@@ -60,6 +69,19 @@ class SketchSpace {
 
   /// Words per serialized sketch (each of the t copies).
   std::size_t sketch_words() const { return L0Sketch::word_size(params_); }
+  /// Detector cells per sketch copy (levels * buckets); a vertex's lane
+  /// block holds t * cells() cells.
+  std::size_t cells() const {
+    return static_cast<std::size_t>(params_.levels) * params_.buckets;
+  }
+
+  /// Append coordinate i's signature — every cell it touches in all t
+  /// copies, copy by copy, with its fingerprint there — to `out`. This is
+  /// the k-wise hash and field::pow work of L0Sketch::update, done once per
+  /// coordinate: a signature applied with +1 to one endpoint's block and -1
+  /// to the other's updates both, in every copy.
+  void append_signature(std::uint64_t i,
+                        std::vector<SignatureEntry>& out) const;
 
   /// Sketch vertex v's incidence vector restricted to the given incident
   /// edges, in every family; returns t sketches.
@@ -87,6 +109,21 @@ struct SketchArena {
   void append(std::span<const L0Sketch> sketches);
   SketchLanes view() const { return {phi, iota, tau}; }
 };
+
+/// Add c (+1 or -1) at coordinate i to one vertex's lane block (t * cells
+/// cells per lane) through i's signature: exactly L0Sketch::update(i, c)
+/// in every copy.
+inline void apply_signature(std::span<const SignatureEntry> signature,
+                            std::uint64_t i, int c, std::int64_t* phi,
+                            std::int64_t* iota, std::uint64_t* tau) {
+  const auto coord = static_cast<std::int64_t>(i);
+  for (const SignatureEntry& s : signature) {
+    phi[s.cell] += c;
+    iota[s.cell] += c * coord;
+    tau[s.cell] =
+        c > 0 ? field::add(tau[s.cell], s.fp) : field::sub(tau[s.cell], s.fp);
+  }
+}
 
 /// Result of the coordinator-local sketch Borůvka.
 struct SketchForestResult {

@@ -10,20 +10,6 @@
 
 namespace ccq {
 
-namespace {
-
-std::uint64_t zigzag_encode(std::int64_t v) {
-  return (static_cast<std::uint64_t>(v) << 1) ^
-         static_cast<std::uint64_t>(v >> 63);
-}
-
-std::int64_t zigzag_decode(std::uint64_t v) {
-  return static_cast<std::int64_t>(v >> 1) ^
-         -static_cast<std::int64_t>(v & 1);
-}
-
-}  // namespace
-
 SketchParams SketchParams::for_universe(std::uint64_t universe) {
   check(universe > 0, "SketchParams: empty universe");
   const auto bits = static_cast<std::uint32_t>(std::bit_width(universe));
@@ -73,6 +59,13 @@ SketchFamily::SketchFamily(const SketchParams& params,
     if (base == 0) base = 1;
     z_.push_back(base);
   }
+  exponent_bits_ = static_cast<std::uint32_t>(std::bit_width(params.universe));
+  z_powers_.reserve(static_cast<std::size_t>(params.levels) * exponent_bits_);
+  for (std::uint64_t power : z_)
+    for (std::uint32_t b = 0; b < exponent_bits_; ++b) {
+      z_powers_.push_back(power);
+      power = field::mul(power, power);
+    }
   if (params.buckets > 1) {
     bucket_g_.reserve(params.levels);
     for (std::uint32_t level = 0; level < params.levels; ++level)
@@ -104,7 +97,14 @@ std::uint64_t SketchFamily::z_of(std::uint32_t level) const {
 
 std::uint64_t SketchFamily::fingerprint(std::uint32_t level,
                                         std::uint64_t i) const {
-  return field::pow(z_of(level), i + 1);
+  std::uint64_t e = i + 1;
+  if (std::bit_width(e) > exponent_bits_) return field::pow(z_of(level), e);
+  check(level < params_.levels, "SketchFamily::fingerprint: bad level");
+  const std::uint64_t* powers =
+      z_powers_.data() + static_cast<std::size_t>(level) * exponent_bits_;
+  std::uint64_t acc = 1;
+  for (; e != 0; e &= e - 1) acc = field::mul(acc, powers[std::countr_zero(e)]);
+  return acc;
 }
 
 L0Sketch::L0Sketch(const SketchFamily& family) : family_(&family) {
@@ -226,36 +226,11 @@ L0Sketch L0Sketch::from_words(const SketchFamily& family,
   if (words.size() != word_size(family.params()))
     throw InvalidArgument("L0Sketch::from_words: wrong payload size");
   L0Sketch out{family};
-  decode_words(words, out.phi_, out.iota_, out.tau_);
-  return out;
-}
-
-void L0Sketch::decode_words(std::span<const std::uint64_t> words,
-                            std::span<std::int64_t> phi,
-                            std::span<std::int64_t> iota,
-                            std::span<std::uint64_t> tau) {
-  const std::size_t cells = phi.size();
-  if (words.size() != 3 * cells || iota.size() != cells ||
-      tau.size() != cells)
-    throw InvalidArgument("L0Sketch::decode_words: wrong payload size");
-  for (std::size_t c = 0; c < cells; ++c) {
-    phi[c] = zigzag_decode(words[3 * c]);
-    iota[c] = zigzag_decode(words[3 * c + 1]);
-    tau[c] = words[3 * c + 2];
+  for (std::size_t c = 0; c < out.phi_.size(); ++c) {
+    out.phi_[c] = zigzag_decode(words[3 * c]);
+    out.iota_[c] = zigzag_decode(words[3 * c + 1]);
+    out.tau_[c] = words[3 * c + 2];
   }
-}
-
-L0Sketch L0Sketch::from_lanes(const SketchFamily& family,
-                              std::span<const std::int64_t> phi,
-                              std::span<const std::int64_t> iota,
-                              std::span<const std::uint64_t> tau) {
-  L0Sketch out{family};
-  if (phi.size() != out.phi_.size() || iota.size() != out.iota_.size() ||
-      tau.size() != out.tau_.size())
-    throw InvalidArgument("L0Sketch::from_lanes: wrong lane size");
-  std::copy(phi.begin(), phi.end(), out.phi_.begin());
-  std::copy(iota.begin(), iota.end(), out.iota_.begin());
-  std::copy(tau.begin(), tau.end(), out.tau_.begin());
   return out;
 }
 

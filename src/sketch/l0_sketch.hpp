@@ -85,6 +85,11 @@ class SketchFamily {
   SketchParams params_;
   KwiseHash h_;
   std::vector<std::uint64_t> z_;     // per-level fingerprint bases
+  // z_ℓ^(2^b) for b < exponent_bits_, level-major: a fingerprint is then
+  // one multiply per set bit of its exponent (i + 1 <= universe), the very
+  // products field::pow would form, without its squarings.
+  std::uint32_t exponent_bits_{0};
+  std::vector<std::uint64_t> z_powers_;
   std::vector<KwiseHash> bucket_g_;  // per-level bucket hashes (if buckets>1)
   std::uint64_t family_id_;
 };
@@ -125,6 +130,17 @@ std::optional<L0Sample> sample_lanes(const SketchFamily& family,
 /// of a cut vector this is the (one-sided) "no outgoing edge" signal.
 bool lanes_appear_zero(SketchLanes sketch);
 
+/// Zigzag coding of the signed φ and ι lanes on the wire (small magnitudes
+/// of either sign become small words).
+inline std::uint64_t zigzag_encode(std::int64_t v) {
+  return (static_cast<std::uint64_t>(v) << 1) ^
+         static_cast<std::uint64_t>(v >> 63);
+}
+inline std::int64_t zigzag_decode(std::uint64_t v) {
+  return static_cast<std::int64_t>(v >> 1) ^
+         -static_cast<std::int64_t>(v & 1);
+}
+
 /// A linear l0 sketch of a vector in {-1,0,1}^N.
 class L0Sketch {
  public:
@@ -146,27 +162,12 @@ class L0Sketch {
   /// This sketch's detector lanes.
   SketchLanes lanes() const { return {phi_, iota_, tau_}; }
 
-  /// Serialize to 3 words per level (φ zigzag-coded, ι zigzag-coded, τ);
-  /// the wire format the algorithms ship through O(log n)-bit messages.
+  /// Serialize to 3 words per cell (φ zigzag-coded, ι zigzag-coded, τ);
+  /// the wire format the algorithms ship through O(log n)-bit messages
+  /// (sketch/wire packetizes lane blocks into the same words).
   std::vector<std::uint64_t> to_words() const;
   static L0Sketch from_words(const SketchFamily& family,
                              std::span<const std::uint64_t> words);
-  /// Decode a serialized sketch into caller-owned lanes, each
-  /// words.size() / 3 long (from_words decodes through this).
-  static void decode_words(std::span<const std::uint64_t> words,
-                           std::span<std::int64_t> phi,
-                           std::span<std::int64_t> iota,
-                           std::span<std::uint64_t> tau);
-
-  /// Build a sketch by copying raw detector lanes (cell order, one value
-  /// per level*buckets cell). This is the bridge for callers that keep
-  /// sketch state in flat SoA arenas — the connectivity service's resident
-  /// per-vertex state — and materialize L0Sketch objects only to serialize
-  /// them for routing (sampling reads the lanes in place).
-  static L0Sketch from_lanes(const SketchFamily& family,
-                             std::span<const std::int64_t> phi,
-                             std::span<const std::int64_t> iota,
-                             std::span<const std::uint64_t> tau);
 
   /// Words occupied by one serialized sketch.
   static std::size_t word_size(const SketchParams& params);

@@ -4,17 +4,6 @@
 
 namespace ccq::field {
 
-std::uint64_t reduce(unsigned __int128 x) {
-  // x < 2^122. Split into low 61 bits and high 61 bits, then fold: since
-  // 2^61 == 1 (mod p), x == lo + hi (mod p).
-  const auto lo = static_cast<std::uint64_t>(x) & kPrime;
-  const auto hi = static_cast<std::uint64_t>(x >> 61);
-  std::uint64_t s = lo + hi;  // hi < 2^61, so s < 2^62
-  s = (s & kPrime) + (s >> 61);
-  if (s >= kPrime) s -= kPrime;
-  return s;
-}
-
 std::uint64_t pow(std::uint64_t a, std::uint64_t e) {
   std::uint64_t base = canon(a);
   std::uint64_t acc = 1;

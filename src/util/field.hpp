@@ -14,7 +14,17 @@ namespace ccq::field {
 inline constexpr std::uint64_t kPrime = (std::uint64_t{1} << 61) - 1;
 
 /// Reduce a value < 2^122 (i.e. any product of two field elements) mod p.
-std::uint64_t reduce(unsigned __int128 x);
+/// Inline: it sits under every mul of the k-wise hashes and fingerprints.
+inline std::uint64_t reduce(unsigned __int128 x) {
+  // Split into low 61 bits and high 61 bits, then fold: since
+  // 2^61 == 1 (mod p), x == lo + hi (mod p).
+  const auto lo = static_cast<std::uint64_t>(x) & kPrime;
+  const auto hi = static_cast<std::uint64_t>(x >> 61);
+  std::uint64_t s = lo + hi;  // hi < 2^61, so s < 2^62
+  s = (s & kPrime) + (s >> 61);
+  if (s >= kPrime) s -= kPrime;
+  return s;
+}
 
 /// Canonicalize a value < 2^64 into [0, p).
 inline std::uint64_t canon(std::uint64_t x) {

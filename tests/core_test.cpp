@@ -186,6 +186,14 @@ TEST(ComponentGraphGolden, CliqueAfterOneLotkerPhase) {
       },
       {88576, 265728, 7762465813773278695ULL, 15051,
        14889109889341827820ULL, 174, 192314802120847637ULL});
+  // EXACT-MST's Step 2 reads the same edges straight from the arcs.
+  expect_component_graph_pin(
+      n,
+      [&](CliqueEngine& e) {
+        return build_component_graph_weighted(e, input, state.cluster_of);
+      },
+      {88576, 265728, 7762465813773278695ULL, 15051,
+       14889109889341827820ULL, 174, 192314802120847637ULL});
 }
 
 class ReduceSeeds : public ::testing::TestWithParam<std::uint64_t> {};
@@ -386,6 +394,7 @@ struct RoutePin {
 
 struct SqMstPin {
   std::uint32_t partitions;
+  std::uint32_t boruvka_rounds;  // guardians' Borůvka: reads sketch content
   std::uint64_t forest_size;
   std::uint64_t forest_digest;
   std::uint64_t rounds;
@@ -438,6 +447,7 @@ void expect_sq_mst_pin_at(std::uint32_t threads, std::uint32_t n,
     if (block.first > largest.first) largest = block;
   EXPECT_TRUE(result.monte_carlo_ok);
   EXPECT_EQ(result.partitions, pin.partitions);
+  EXPECT_EQ(result.boruvka_rounds, pin.boruvka_rounds);
   EXPECT_EQ(result.mst.size(), pin.forest_size);
   EXPECT_EQ(forest, pin.forest_digest);
   EXPECT_EQ(engine.metrics().rounds, pin.rounds);
@@ -462,7 +472,7 @@ TEST(SqMstGolden, SparseN64) {
   const std::uint32_t n = 64;
   const auto g = random_weights(gnp(n, 0.3, gen), 1 << 20, gen);
   expect_sq_mst_pin(n, g.edges(), 72,
-                    {10, 63, 13539940555760816714ULL, 521, 337154, 1224505,
+                    {10, 60, 63, 13539940555760816714ULL, 521, 337154, 1224505,
                      {4, 1, 23, 64}, {476, 237, 2160, 15120}, {4, 1, 9, 11},
                      15625796449122230422ULL, 266880,
                      6587435737696053253ULL});
@@ -473,7 +483,7 @@ TEST(SqMstGolden, NonPowerOfTwoN100) {
   const std::uint32_t n = 100;
   const auto g = random_weights(gnp(n, 0.2, gen), 1 << 20, gen);
   expect_sq_mst_pin(n, g.edges(), 74,
-                    {11, 99, 4959324931182206742ULL, 574, 653044, 2503456,
+                    {11, 67, 99, 4959324931182206742ULL, 574, 653044, 2503456,
                      {6, 2, 26, 100}, {526, 262, 2640, 26136}, {4, 1, 12, 13},
                      5023757123885196091ULL, 516384,
                      10179341490119322981ULL});
@@ -495,7 +505,7 @@ TEST(SqMstGolden, CliqueAfterOneLotkerPhase) {
     g1_edges.emplace_back(pair.first, pair.second, witness.w);
   const auto edges = kkt_sample(g1_edges, 0.25, gen);
   expect_sq_mst_pin(n, edges, 76,
-                    {8, 178, 1704700958624241216ULL, 327, 2488016, 6545059,
+                    {8, 52, 178, 1704700958624241216ULL, 327, 2488016, 6545059,
                      {4, 1, 53, 508}, {292, 145, 2912, 74048}, {4, 1, 1, 1},
                      12762903688532156614ULL, 1035840,
                      10655736824020609529ULL});

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "clique/engine.hpp"
@@ -295,6 +298,44 @@ TEST(Engine, Kt1HasIdKnowledgeNatively) {
   CliqueEngine kt1{{.n = 4}};
   EXPECT_TRUE(kt1.ids_resolved());
   EXPECT_NO_THROW(kt1.require_id_knowledge("test"));
+}
+
+TEST(Engine, RunLocalVisitsEveryItemOnceOnBoundedLanes) {
+  for (std::uint32_t threads : {1u, 3u, 8u}) {
+    CliqueEngine engine{{.n = 16, .threads = threads}};
+    EXPECT_EQ(engine.local_lanes(0), 0u);
+    EXPECT_EQ(engine.local_lanes(2), std::min(2u, threads));
+    const std::size_t items = 1000;
+    const unsigned lanes = engine.local_lanes(items);
+    EXPECT_EQ(lanes, threads);
+    std::vector<std::uint32_t> visits(items, 0);
+    std::vector<unsigned> lane_of(items, lanes);
+    engine.run_local(items, [&](unsigned lane, std::size_t i) {
+      ++visits[i];
+      lane_of[i] = lane;
+    });
+    for (std::size_t i = 0; i < items; ++i) {
+      EXPECT_EQ(visits[i], 1u) << "item " << i;
+      EXPECT_LT(lane_of[i], lanes) << "item " << i;
+    }
+    // Local work charges nothing.
+    EXPECT_EQ(engine.metrics().rounds, 0u);
+  }
+}
+
+TEST(Engine, RunLocalRethrowsTheSmallestFailingItem) {
+  for (std::uint32_t threads : {1u, 4u}) {
+    CliqueEngine engine{{.n = 16, .threads = threads}};
+    try {
+      engine.run_local(500, [](unsigned, std::size_t i) {
+        if (i == 37 || i == 38 || i == 450)
+          throw std::runtime_error("item " + std::to_string(i));
+      });
+      ADD_FAILURE() << "run_local swallowed the failure";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "item 37") << "threads " << threads;
+    }
+  }
 }
 
 TEST(MessageType, Constructors) {

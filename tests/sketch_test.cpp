@@ -11,6 +11,7 @@
 #include "sketch/graph_sketch.hpp"
 #include "sketch/l0_sketch.hpp"
 #include "sketch/wire.hpp"
+#include "util/field.hpp"
 
 namespace ccq {
 namespace {
@@ -100,6 +101,22 @@ TEST(L0, FromWordsRejectsWrongSize) {
   const auto family = make_family(100, 9);
   std::vector<std::uint64_t> bad(3, 0);
   EXPECT_THROW(L0Sketch::from_words(family, bad), InvalidArgument);
+}
+
+TEST(L0, FingerprintTablesMatchFieldPow) {
+  // Fingerprints multiply precomputed powers z^(2^b): the same field
+  // element field::pow computes, at every level, over the whole universe.
+  Rng rng{24};
+  const auto params = SketchParams::cormode_firmani(512 * 512, 2);
+  const auto words = rng.words(sketch_seed_words(params));
+  const SketchFamily family{params, words};
+  std::vector<std::uint64_t> coords{0, 1, 2, 255, 256, params.universe - 1};
+  for (int k = 0; k < 200; ++k) coords.push_back(rng.next_below(params.universe));
+  for (std::uint32_t level = 0; level < params.levels; ++level)
+    for (const std::uint64_t i : coords)
+      EXPECT_EQ(family.fingerprint(level, i),
+                field::pow(family.z_of(level), i + 1))
+          << "level " << level << " coord " << i;
 }
 
 TEST(L0, CrossFamilyAdditionRejected) {
@@ -355,30 +372,59 @@ TEST(SketchForestGolden, TwoCopiesRunOut) {
   expect_pin(result, {52, 1163947629719071934ULL, 3, true});
 }
 
+// One vertex's t copies in the lane layout the packetizer reads.
+SketchArena lane_block(const SketchSpace& space, VertexId v,
+                       const std::vector<Edge>& incident) {
+  SketchArena block;
+  block.append(space.sketch_vertex(v, incident));
+  return block;
+}
+
+// The packets of one vertex's block, each delivered as its Message.
+std::vector<Message> delivered(const SketchSpace& space, VertexId src,
+                               std::uint32_t tag_base,
+                               const SketchArena& block) {
+  PacketArray packets{sketch_packet_count(space)};
+  write_sketch_packets(packets.span(), src, 0, tag_base, space,
+                       block.view());
+  std::vector<Message> inbox;
+  for (const Packet& p : packets.span()) {
+    Message m = p.msg;
+    m.src = p.src;
+    m.dst = p.dst;
+    inbox.push_back(m);
+  }
+  return inbox;
+}
+
 TEST(Wire, PacketizeAndReassemble) {
   Rng rng{15};
   const std::uint32_t n = 32;
   const auto words = rng.words(SketchSpace::seed_words_needed(n, 3));
   const SketchSpace space{n, 3, words};
   Graph g = random_connected(n, 20, rng);
-  std::vector<Packet> packets;
   std::vector<Edge> incident;
   for (VertexId w : g.neighbors(5)) incident.emplace_back(5, w);
   const auto sketches = space.sketch_vertex(5, incident);
-  for (std::uint32_t j = 0; j < 3; ++j)
-    append_sketch_packets(packets, 5, 0, 0x00030000, j, sketches[j]);
-  EXPECT_EQ(packets.size(), 3 * sketch_message_count(space));
-  SketchReassembler reassembler{space, 0x00030000};
-  for (const auto& p : packets) {
-    Message m = p.msg;
-    m.src = p.src;
-    m.dst = p.dst;
-    reassembler.add(m);
+  const SketchArena block = lane_block(space, 5, incident);
+  const auto inbox = delivered(space, 5, 0x00030000, block);
+  ASSERT_EQ(inbox.size(), 3 * sketch_message_count(space));
+  // Copy j's chunks carry exactly the words L0Sketch::to_words serializes.
+  const std::size_t chunks = sketch_message_count(space);
+  for (std::uint32_t j = 0; j < 3; ++j) {
+    std::vector<std::uint64_t> wire;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const Message& m = inbox[j * chunks + c];
+      EXPECT_EQ(m.tag, 0x00030000u | (j << 8) | c);
+      wire.insert(wire.end(), m.payload().begin(), m.payload().end());
+    }
+    EXPECT_EQ(wire, sketches[j].to_words()) << "copy " << j;
   }
-  EXPECT_EQ(reassembler.senders(), std::vector<VertexId>{5});
+  SketchReassembler reassembler{space, 0x00030000};
+  SketchArena arena;
   const std::vector<VertexId> senders{5};
-  const SketchArena arena = reassembler.take(senders);
-  const std::size_t cells = space.sketch_words() / 3;
+  reassembler.decode(inbox, senders, arena);
+  const std::size_t cells = space.cells();
   ASSERT_EQ(arena.phi.size(), 3 * cells);
   for (std::uint32_t j = 0; j < 3; ++j) {
     const SketchLanes got = arena.view().sketch(j, cells);
@@ -387,72 +433,55 @@ TEST(Wire, PacketizeAndReassemble) {
     EXPECT_TRUE(std::ranges::equal(got.iota, want.iota)) << "copy " << j;
     EXPECT_TRUE(std::ranges::equal(got.tau, want.tau)) << "copy " << j;
   }
-  // take() resets: a second take finds nothing to decode.
-  EXPECT_TRUE(reassembler.senders().empty());
+  // The reassembler and the arena are reusable: a second inbox in reverse
+  // order decodes to the same lanes.
+  const std::vector<Message> reversed(inbox.rbegin(), inbox.rend());
+  SketchArena again;
+  reassembler.decode(reversed, senders, again);
+  EXPECT_EQ(again.phi, arena.phi);
+  EXPECT_EQ(again.iota, arena.iota);
+  EXPECT_EQ(again.tau, arena.tau);
 }
 
 TEST(Wire, MissingOrUnlistedSenderRejected) {
   Rng rng{17};
   const auto words = rng.words(SketchSpace::seed_words_needed(16, 2));
   const SketchSpace space{16, 2, words};
-  std::vector<Packet> packets;
-  const auto sketches = space.sketch_vertex(3, std::vector<Edge>{{3, 4}});
-  for (std::uint32_t j = 0; j < 2; ++j)
-    append_sketch_packets(packets, 3, 0, 0x00050000, j, sketches[j]);
-  auto feed = [&](SketchReassembler& reassembler) {
-    for (const auto& p : packets) {
-      Message m = p.msg;
-      m.src = p.src;
-      reassembler.add(m);
-    }
-  };
+  const auto inbox = delivered(space, 3, 0x00050000,
+                               lane_block(space, 3, {{3, 4}}));
+  SketchArena arena;
   SketchReassembler unlisted{space, 0x00050000};
-  feed(unlisted);
-  EXPECT_THROW(unlisted.take(std::vector<VertexId>{}), std::logic_error);
+  EXPECT_THROW(unlisted.decode(inbox, std::vector<VertexId>{}, arena),
+               std::logic_error);
   SketchReassembler missing{space, 0x00050000};
-  feed(missing);
-  EXPECT_THROW(missing.take(std::vector<VertexId>{4}), std::logic_error);
+  EXPECT_THROW(missing.decode(inbox, std::vector<VertexId>{4}, arena),
+               std::logic_error);
 }
 
 TEST(Wire, IncompleteOrStrayCopyRejected) {
   Rng rng{18};
   const auto words = rng.words(SketchSpace::seed_words_needed(16, 2));
   const SketchSpace space{16, 2, words};
-  std::vector<Packet> packets;
-  const auto sketches = space.sketch_vertex(3, std::vector<Edge>{{3, 4}});
-  for (std::uint32_t j = 0; j < 2; ++j)
-    append_sketch_packets(packets, 3, 0, 0x00050000, j, sketches[j]);
-  ASSERT_GT(packets.size(), 2u);
-  auto feed = [&](SketchReassembler& reassembler, std::size_t skip) {
-    for (std::size_t i = 0; i < packets.size(); ++i) {
-      if (i == skip) continue;
-      Message m = packets[i].msg;
-      m.src = packets[i].src;
-      reassembler.add(m);
-    }
-  };
+  const auto inbox = delivered(space, 3, 0x00050000,
+                               lane_block(space, 3, {{3, 4}}));
+  ASSERT_GT(inbox.size(), 2u);
   const std::vector<VertexId> listed{3};
-  SketchReassembler complete{space, 0x00050000};
-  feed(complete, packets.size());
-  EXPECT_NO_THROW(complete.take(listed));
+  SketchArena arena;
+  SketchReassembler reassembler{space, 0x00050000};
+  EXPECT_NO_THROW(reassembler.decode(inbox, listed, arena));
   // One chunk of the last copy never arrives.
-  SketchReassembler incomplete{space, 0x00050000};
-  feed(incomplete, packets.size() - 1);
-  EXPECT_THROW(incomplete.take(listed), std::logic_error);
+  const std::vector<Message> incomplete(inbox.begin(), inbox.end() - 1);
+  EXPECT_THROW(reassembler.decode(incomplete, listed, arena),
+               std::logic_error);
   // A third copy on a two-copy space.
-  SketchReassembler stray{space, 0x00050000};
-  feed(stray, packets.size());
-  Message extra = packets[0].msg;
-  extra.src = 3;
-  extra.tag = 0x00050000 | (2u << 8);
-  stray.add(extra);
-  EXPECT_THROW(stray.take(listed), std::logic_error);
+  std::vector<Message> stray = inbox;
+  stray.push_back(inbox[0]);
+  stray.back().tag = 0x00050000 | (2u << 8);
+  EXPECT_THROW(reassembler.decode(stray, listed, arena), std::logic_error);
   // A chunk index past the sketch's last word.
-  SketchReassembler outside{space, 0x00050000};
-  Message far = packets[0].msg;
-  far.src = 3;
-  far.tag = 0x00050000 | 0xff;
-  EXPECT_THROW(outside.add(far), std::logic_error);
+  std::vector<Message> outside{inbox[0]};
+  outside[0].tag = 0x00050000 | 0xff;
+  EXPECT_THROW(reassembler.decode(outside, listed, arena), std::logic_error);
 }
 
 TEST(Wire, ForeignTagsIgnored) {
@@ -462,9 +491,46 @@ TEST(Wire, ForeignTagsIgnored) {
   SketchReassembler reassembler{space, 0x00040000};
   Message foreign = msg1(0x00990000, 1);
   foreign.src = 2;
-  reassembler.add(foreign);
-  EXPECT_TRUE(reassembler.senders().empty());
-  EXPECT_TRUE(reassembler.take(std::vector<VertexId>{}).phi.empty());
+  SketchArena arena;
+  EXPECT_NO_THROW(reassembler.decode(std::vector<Message>{foreign},
+                                     std::vector<VertexId>{}, arena));
+  EXPECT_TRUE(arena.phi.empty());
+}
+
+TEST(Signature, AppliedSignaturesMatchL0SketchUpdates) {
+  // One signature per edge, applied +1 at u and -1 at v, gives both
+  // endpoints exactly the lanes of t L0Sketch::update calls each.
+  Rng rng{19};
+  const std::uint32_t n = 40;
+  for (std::uint32_t buckets : {1u, 3u}) {
+    const auto words =
+        rng.words(SketchSpace::seed_words_needed(n, 5, buckets));
+    const SketchSpace space{n, 5, words, buckets};
+    const Graph g = random_connected(n, 60, rng);
+    const std::size_t block = space.copies() * space.cells();
+    SketchArena lanes;
+    lanes.phi.assign(n * block, 0);
+    lanes.iota.assign(n * block, 0);
+    lanes.tau.assign(n * block, 0);
+    std::vector<SignatureEntry> signature;
+    for (const Edge& e : g.edges()) {
+      const std::uint64_t idx = edge_index(e.u, e.v, n);
+      signature.clear();
+      space.append_signature(idx, signature);
+      for (const VertexId end : {e.u, e.v}) {
+        const std::size_t at = end * block;
+        apply_signature(signature, idx, incidence_sign(end, e),
+                        lanes.phi.data() + at, lanes.iota.data() + at,
+                        lanes.tau.data() + at);
+      }
+    }
+    SketchArena want;
+    for (VertexId v = 0; v < n; ++v)
+      want.append(space.sketch_vertex(v, incident_edges(g, v)));
+    EXPECT_EQ(lanes.phi, want.phi) << "buckets " << buckets;
+    EXPECT_EQ(lanes.iota, want.iota) << "buckets " << buckets;
+    EXPECT_EQ(lanes.tau, want.tau) << "buckets " << buckets;
+  }
 }
 
 TEST(CfBuckets, BucketedSingleItemRecovered) {
