@@ -256,6 +256,7 @@ std::vector<std::uint32_t> konig_edge_coloring(
 class RunGraph {
  public:
   void push(std::uint32_t src, std::uint32_t dst) {
+    if (!uniform_) return;  // nothing more to learn
     if (!runs_.empty() && runs_.back() == std::pair{src, dst}) {
       ++length_;
       return;
@@ -450,20 +451,24 @@ void route_packets_into(CliqueEngine& engine,
   std::vector<std::uint64_t> send_load(n, 0);
   std::vector<std::uint64_t> recv_load(n, 0);
   RunGraph runs;
-  std::size_t relayed = 0;
-  for (const Packet& p : packets) {
+  std::vector<std::size_t> local_packets;
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    const Packet& p = packets[i];
     check(p.src < n && p.dst < n, "route_packets_into: endpoint out of range");
     out.add_count(p.dst);
-    if (p.src == p.dst) continue;  // local delivery is free in the model
+    if (p.src == p.dst) {  // local delivery is free in the model
+      local_packets.push_back(i);
+      continue;
+    }
     runs.push(p.src, p.dst);
     ++send_load[p.src];
     ++recv_load[p.dst];
-    ++relayed;
   }
+  const std::size_t relayed = packets.size() - local_packets.size();
   out.commit_counts();
   // Local deliveries land first in each inbox, in packet order.
-  for (const Packet& p : packets) {
-    if (p.src != p.dst) continue;
+  for (const std::size_t i : local_packets) {
+    const Packet& p = packets[i];
     Message& m = out.place(p.dst);
     m = p.msg;
     m.src = p.src;
@@ -524,7 +529,8 @@ void route_packets_into(CliqueEngine& engine,
         static_cast<std::uint64_t>(n) * engine.messages_per_link();
     const std::uint64_t batches =
         (num_colors + colors_per_batch - 1) / colors_per_batch;
-    // Group packet counts/words per batch for exact accounting.
+    // Deliver, in packet order, while grouping packet counts/words per
+    // batch for exact accounting.
     std::vector<std::uint64_t> batch_msgs(batches, 0);
     std::vector<std::uint64_t> batch_words(batches, 0);
     for_each_relayed([&](const Packet& p, std::uint32_t c) {
@@ -533,6 +539,10 @@ void route_packets_into(CliqueEngine& engine,
       // Relay hop carries the final destination alongside the payload: one
       // extra O(log n)-bit word.
       batch_words[b] += 2ull * p.msg.count + 1;
+      Message& m = out.place(p.dst);
+      m = p.msg;
+      m.src = p.src;
+      m.dst = p.dst;
     });
     for (std::uint64_t b = 0; b < batches; ++b) {
       engine.charge_verified_round(batch_msgs[b] / 2 + batch_msgs[b] % 2,
@@ -563,13 +573,6 @@ void route_packets_into(CliqueEngine& engine,
     }
     local.rounds = 2 * batches + kScheduleRounds;
     local.color_batches = batches;
-    // Deliver, in packet order.
-    for_each_relayed([&](const Packet& p, std::uint32_t) {
-      Message& m = out.place(p.dst);
-      m = p.msg;
-      m.src = p.src;
-      m.dst = p.dst;
-    });
   }
   if (stats) *stats = local;
 }

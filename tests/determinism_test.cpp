@@ -2,8 +2,9 @@
 // has to produce bit-identical inboxes, outputs and Metrics to the serial
 // engine (threads = 1) for every lane count. These tests pin that contract
 // on raw rounds and on the flagship algorithms (GC, Lotker CC-MST,
-// EXACT-MST), pin fused == unfused windows, and check the arena against a direct oracle of
-// the delivery rule that involves no engine, arena or packed codec.
+// EXACT-MST), pin fused == unfused windows, and check the arena against a
+// direct oracle of the delivery rule that involves no engine, arena or
+// packed codec.
 #include <gtest/gtest.h>
 
 #include <cstdint>

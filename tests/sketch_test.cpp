@@ -111,7 +111,8 @@ TEST(L0, FingerprintTablesMatchFieldPow) {
   const auto words = rng.words(sketch_seed_words(params));
   const SketchFamily family{params, words};
   std::vector<std::uint64_t> coords{0, 1, 2, 255, 256, params.universe - 1};
-  for (int k = 0; k < 200; ++k) coords.push_back(rng.next_below(params.universe));
+  for (int k = 0; k < 200; ++k)
+    coords.push_back(rng.next_below(params.universe));
   for (std::uint32_t level = 0; level < params.levels; ++level)
     for (const std::uint64_t i : coords)
       EXPECT_EQ(family.fingerprint(level, i),
