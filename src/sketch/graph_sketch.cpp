@@ -1,6 +1,7 @@
 #include "sketch/graph_sketch.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <unordered_map>
 
@@ -32,6 +33,12 @@ SketchSpace::SketchSpace(std::uint32_t n, std::uint32_t copies,
   for (std::uint32_t j = 0; j < copies; ++j)
     families_.emplace_back(params_,
                            seed_words.subspan(j * per_family, per_family));
+  const std::size_t k = families_[0].level_hash().independence();
+  level_coeffs_.resize(k * copies);
+  for (std::uint32_t j = 0; j < copies; ++j)
+    for (std::size_t c = 0; c < k; ++c)
+      level_coeffs_[c * copies + j] =
+          families_[j].level_hash().coefficients()[c];
 }
 
 std::size_t SketchSpace::seed_words_needed(std::uint32_t n,
@@ -61,19 +68,53 @@ std::vector<L0Sketch> SketchSpace::sketch_vertex(
 
 void SketchSpace::append_signature(std::uint64_t i,
                                    std::vector<SignatureEntry>& out) const {
-  const std::uint32_t buckets = params_.buckets;
-  for (std::uint32_t j = 0; j < families_.size(); ++j) {
-    const SketchFamily& family = families_[j];
-    const std::uint32_t top = family.level_of(i);
-    const std::size_t copy_base = static_cast<std::size_t>(j) * cells();
-    for (std::uint32_t level = 0; level <= top; ++level) {
-      const std::size_t cell = copy_base +
-                               static_cast<std::size_t>(level) * buckets +
-                               family.bucket_of(level, i);
-      out.push_back({static_cast<std::uint32_t>(cell),
-                     family.fingerprint(level, i)});
+  check(i < params_.universe, "SketchSpace::append_signature: out of universe");
+  // Up to kChains independent chains at a time: first the level hashes of
+  // kChains copies (Horner, as KwiseHash evaluates them), then the
+  // fingerprints of the last kChains entries (one multiply per set bit of
+  // i + 1, the products SketchFamily::fingerprint forms).
+  constexpr std::uint32_t kChains = 8;
+  const std::uint32_t t = copies();
+  const std::size_t k = level_coeffs_.size() / t;
+  const std::uint64_t x = field::canon(i);
+  std::array<const std::uint64_t*, kChains> powers;
+  std::size_t pending = 0;
+  const auto finish_fingerprints = [&] {
+    std::array<std::uint64_t, kChains> fp;
+    fp.fill(1);
+    for (std::uint64_t e = i + 1; e != 0; e &= e - 1) {
+      const int b = std::countr_zero(e);
+      for (std::size_t q = 0; q < pending; ++q)
+        fp[q] = field::mul(fp[q], powers[q][b]);
+    }
+    SignatureEntry* entry = out.data() + out.size() - pending;
+    for (std::size_t q = 0; q < pending; ++q) entry[q].fp = fp[q];
+    pending = 0;
+  };
+  for (std::uint32_t j0 = 0; j0 < t; j0 += kChains) {
+    const std::uint32_t chains = std::min(kChains, t - j0);
+    std::array<std::uint64_t, kChains> h{};
+    for (std::size_t c = k; c-- > 0;) {
+      const std::uint64_t* coeff = level_coeffs_.data() + c * t + j0;
+      for (std::uint32_t q = 0; q < chains; ++q)
+        h[q] = field::add(field::mul(h[q], x), coeff[q]);
+    }
+    for (std::uint32_t q = 0; q < chains; ++q) {
+      const SketchFamily& family = families_[j0 + q];
+      const std::uint32_t top = family.level_of_hash(h[q]);
+      const std::size_t copy_base = static_cast<std::size_t>(j0 + q) * cells();
+      for (std::uint32_t level = 0; level <= top; ++level) {
+        const std::size_t cell = copy_base +
+                                 static_cast<std::size_t>(level) *
+                                     params_.buckets +
+                                 family.bucket_of(level, i);
+        out.push_back({static_cast<std::uint32_t>(cell), 0});
+        powers[pending++] = family.fingerprint_powers(level);
+        if (pending == kChains) finish_fingerprints();
+      }
     }
   }
+  if (pending > 0) finish_fingerprints();
 }
 
 std::vector<L0Sketch> SketchSpace::zero() const {

@@ -77,9 +77,11 @@ class SketchSpace {
 
   /// Append coordinate i's signature — every cell it touches in all t
   /// copies, copy by copy, with its fingerprint there — to `out`. This is
-  /// the k-wise hash and field::pow work of L0Sketch::update, done once per
-  /// coordinate: a signature applied with +1 to one endpoint's block and -1
-  /// to the other's updates both, in every copy.
+  /// the k-wise hash and fingerprint work of L0Sketch::update, done once
+  /// per coordinate: a signature applied with +1 to one endpoint's block
+  /// and -1 to the other's updates both, in every copy. The copies' field
+  /// multiply chains are evaluated side by side, so their latencies
+  /// overlap.
   void append_signature(std::uint64_t i,
                         std::vector<SignatureEntry>& out) const;
 
@@ -95,6 +97,9 @@ class SketchSpace {
   std::uint32_t n_;
   SketchParams params_;
   std::vector<SketchFamily> families_;
+  // Every family's level-hash coefficients, coefficient-major (coefficient
+  // c of copy j at [c * t + j]): one Horner step reads t adjacent words.
+  std::vector<std::uint64_t> level_coeffs_;
 };
 
 /// Owning storage for per-vertex sketch copies in the lane layout

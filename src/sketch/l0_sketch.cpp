@@ -84,7 +84,10 @@ std::uint32_t SketchFamily::bucket_of(std::uint32_t level,
 
 std::uint32_t SketchFamily::level_of(std::uint64_t i) const {
   check(i < params_.universe, "SketchFamily::level_of: out of universe");
-  const std::uint64_t hv = h_(i);
+  return level_of_hash(h_(i));
+}
+
+std::uint32_t SketchFamily::level_of_hash(std::uint64_t hv) const {
   const auto tz = static_cast<std::uint32_t>(
       hv == 0 ? 64 : std::countr_zero(hv));
   return std::min(tz, params_.levels - 1);
@@ -99,12 +102,16 @@ std::uint64_t SketchFamily::fingerprint(std::uint32_t level,
                                         std::uint64_t i) const {
   std::uint64_t e = i + 1;
   if (std::bit_width(e) > exponent_bits_) return field::pow(z_of(level), e);
-  check(level < params_.levels, "SketchFamily::fingerprint: bad level");
-  const std::uint64_t* powers =
-      z_powers_.data() + static_cast<std::size_t>(level) * exponent_bits_;
+  const std::uint64_t* powers = fingerprint_powers(level);
   std::uint64_t acc = 1;
   for (; e != 0; e &= e - 1) acc = field::mul(acc, powers[std::countr_zero(e)]);
   return acc;
+}
+
+const std::uint64_t* SketchFamily::fingerprint_powers(
+    std::uint32_t level) const {
+  check(level < params_.levels, "SketchFamily::fingerprint_powers: bad level");
+  return z_powers_.data() + static_cast<std::size_t>(level) * exponent_bits_;
 }
 
 L0Sketch::L0Sketch(const SketchFamily& family) : family_(&family) {

@@ -68,12 +68,19 @@ class SketchFamily {
   /// Level of coordinate i: number of trailing zero bits of h(i), capped at
   /// levels-1. Coordinate i is counted in detectors 0..level(i).
   std::uint32_t level_of(std::uint64_t i) const;
+  /// level_of(i) from h(i) itself, for callers that evaluate h in bulk.
+  std::uint32_t level_of_hash(std::uint64_t hv) const;
+  /// h, the k-wise level hash.
+  const KwiseHash& level_hash() const { return h_; }
 
   /// Fingerprint base for a level (nonzero field element).
   std::uint64_t z_of(std::uint32_t level) const;
 
   /// Fingerprint digest z_ℓ^i used by the detectors.
   std::uint64_t fingerprint(std::uint32_t level, std::uint64_t i) const;
+  /// z_ℓ^(2^b) for b < bit_width(universe): fingerprint(level, i) is the
+  /// product of the entries at the set bits of i + 1.
+  const std::uint64_t* fingerprint_powers(std::uint32_t level) const;
 
   /// Bucket of coordinate i within a level (always 0 when buckets == 1).
   std::uint32_t bucket_of(std::uint32_t level, std::uint64_t i) const;
