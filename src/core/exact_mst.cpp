@@ -87,6 +87,7 @@ ExactMstResult run(CliqueEngine& engine, const CliqueWeights& weights,
     f = sq_mst(engine, n, sampled, rng);
   }
   if (!f.monte_carlo_ok) result.monte_carlo_ok = false;
+  result.sketch_boruvka_rounds += f.boruvka_rounds;
 
   // --- Step 5: F-light filter (local at every node: all know F).
   const auto light = f_light_subset(n, f.mst, g1_edges);
@@ -99,6 +100,7 @@ ExactMstResult run(CliqueEngine& engine, const CliqueWeights& weights,
     t2 = sq_mst(engine, n, light, rng);
   }
   if (!t2.monte_carlo_ok) result.monte_carlo_ok = false;
+  result.sketch_boruvka_rounds += t2.boruvka_rounds;
 
   // --- Step 7: T1 ∪ T2, with contracted edges mapped back to witnesses.
   for (const auto& e : t2.mst) {

@@ -36,6 +36,7 @@ struct ExactMstResult {
   std::size_t g1_edges{0};
   std::size_t sampled_edges{0};   // |E(H)|
   std::size_t f_light_edges{0};   // |E_l|
+  std::uint32_t sketch_boruvka_rounds{0};  // both SQ-MST calls, all guardians
 };
 
 /// Full EXACT-MST. `phase_override` forces the CC-MST phase count.

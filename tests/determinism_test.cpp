@@ -386,6 +386,10 @@ TEST(Determinism, ExactMstIdenticalAcrossThreadCounts) {
   EXPECT_EQ(a.result.g1_edges, b.result.g1_edges);
   EXPECT_EQ(a.result.sampled_edges, b.result.sampled_edges);
   EXPECT_EQ(a.result.f_light_edges, b.result.f_light_edges);
+  // Sketch contents reach the forest only through sampling; the Borůvka
+  // round count exposes a sketch that differs across thread counts even
+  // when the forest comes out the same.
+  EXPECT_EQ(a.result.sketch_boruvka_rounds, b.result.sketch_boruvka_rounds);
   ASSERT_EQ(a.result.mst.size(), b.result.mst.size());
   for (std::size_t i = 0; i < a.result.mst.size(); ++i) {
     EXPECT_EQ(a.result.mst[i].u, b.result.mst[i].u);
