@@ -500,13 +500,15 @@ TEST(Wire, ForeignTagsIgnored) {
 
 TEST(Signature, AppliedSignaturesMatchL0SketchUpdates) {
   // One signature per edge, applied +1 at u and -1 at v, gives both
-  // endpoints exactly the lanes of t L0Sketch::update calls each.
+  // endpoints exactly the lanes of t L0Sketch::update calls each. 19
+  // copies span more than one block of interleaved hash chains.
   Rng rng{19};
   const std::uint32_t n = 40;
-  for (std::uint32_t buckets : {1u, 3u}) {
+  for (const auto& [buckets, copies] :
+       {std::pair{1u, 5u}, std::pair{3u, 5u}, std::pair{1u, 19u}}) {
     const auto words =
-        rng.words(SketchSpace::seed_words_needed(n, 5, buckets));
-    const SketchSpace space{n, 5, words, buckets};
+        rng.words(SketchSpace::seed_words_needed(n, copies, buckets));
+    const SketchSpace space{n, copies, words, buckets};
     const Graph g = random_connected(n, 60, rng);
     const std::size_t block = space.copies() * space.cells();
     SketchArena lanes;
@@ -528,9 +530,9 @@ TEST(Signature, AppliedSignaturesMatchL0SketchUpdates) {
     SketchArena want;
     for (VertexId v = 0; v < n; ++v)
       want.append(space.sketch_vertex(v, incident_edges(g, v)));
-    EXPECT_EQ(lanes.phi, want.phi) << "buckets " << buckets;
-    EXPECT_EQ(lanes.iota, want.iota) << "buckets " << buckets;
-    EXPECT_EQ(lanes.tau, want.tau) << "buckets " << buckets;
+    EXPECT_EQ(lanes.phi, want.phi) << buckets << " buckets, t " << copies;
+    EXPECT_EQ(lanes.iota, want.iota) << buckets << " buckets, t " << copies;
+    EXPECT_EQ(lanes.tau, want.tau) << buckets << " buckets, t " << copies;
   }
 }
 
