@@ -10,6 +10,7 @@
 // runs the google-benchmark suite.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -266,7 +267,7 @@ void BM_EdgeColoring(benchmark::State& state) {
   const auto edges = routing_pairs(
       state.range(0), n, static_cast<std::uint32_t>(state.range(2)), rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bipartite_edge_coloring(edges, n, n));
+    benchmark::DoNotOptimize(wave_edge_coloring(edges, n));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
@@ -275,6 +276,19 @@ BENCHMARK(BM_EdgeColoring)
     ->Args({1000, 64, 0})
     ->Args({10000, 64, 0})
     ->Args({100000, 512, 4});
+
+/// Routes `packets` on a fresh n-node engine and arena per iteration.
+void route_packets_loop(benchmark::State& state, std::uint32_t n,
+                        const std::vector<Packet>& packets) {
+  for (auto _ : state) {
+    CliqueEngine engine{{.n = n}};
+    RoundBuffer inbox;
+    route_packets_into(engine, packets, inbox);
+    benchmark::DoNotOptimize(inbox);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(packets.size()));
+}
 
 // Args: {packets, n, hot receivers}.
 void BM_RoutePackets(benchmark::State& state) {
@@ -285,19 +299,51 @@ void BM_RoutePackets(benchmark::State& state) {
            state.range(0), n, static_cast<std::uint32_t>(state.range(2)),
            rng))
     packets.push_back({src, dst, msg1(0, packets.size())});
-  for (auto _ : state) {
-    CliqueEngine engine{{.n = n}};
-    RoundBuffer inbox;
-    route_packets_into(engine, packets, inbox);
-    benchmark::DoNotOptimize(inbox);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
+  route_packets_loop(state, n, packets);
 }
 BENCHMARK(BM_RoutePackets)
     ->Args({1000, 64, 0})
     ->Args({10000, 64, 0})
     ->Args({100000, 512, 4});
+
+/// The route shapes of one oneshot EXACT-MST job on a 512-clique.
+void register_route_shapes() {
+  constexpr std::uint32_t n = 512;
+  // The sort: 4096 packets, 8 per sender, into 42 bucket owners (receiver
+  // degree ~97).
+  benchmark::RegisterBenchmark("BM_RoutePackets/sort_4k", [](auto& state) {
+    Rng rng{12};
+    std::vector<Packet> packets;
+    for (std::uint32_t i = 0; i < 4096; ++i)
+      packets.push_back({i % n, static_cast<VertexId>(rng.next_below(42)),
+                         msg1(0, i)});
+    route_packets_loop(state, n, packets);
+  });
+  // The MST collect: 2048 packets from every other node into node 0.
+  benchmark::RegisterBenchmark("BM_RoutePackets/gather_2k", [](auto& state) {
+    std::vector<Packet> packets;
+    for (std::uint32_t i = 0; i < 2048; ++i)
+      packets.push_back({1 + i % (n - 1), 0, msg1(0, i)});
+    route_packets_loop(state, n, packets);
+  });
+  // The SQ-MST sketch route: uniform bundles, every node ships runs of 256
+  // equal packets to 4 distinct receivers, 524,288 packets in all.
+  benchmark::RegisterBenchmark("BM_RoutePackets/sketch_512k", [](auto& state) {
+    Rng rng{13};
+    std::vector<Packet> packets;
+    for (VertexId src = 0; src < n; ++src) {
+      std::vector<VertexId> to;
+      while (to.size() < 4) {
+        const auto d = static_cast<VertexId>(rng.next_below(n));
+        if (std::find(to.begin(), to.end(), d) == to.end()) to.push_back(d);
+      }
+      for (VertexId dst : to)
+        for (std::uint32_t j = 0; j < 256; ++j)
+          packets.push_back({src, dst, msg1(0, j)});
+    }
+    route_packets_loop(state, n, packets);
+  })->Unit(benchmark::kMillisecond);
+}
 
 void BM_DistributedSort(benchmark::State& state) {
   const std::uint32_t n = 32;
@@ -329,12 +375,14 @@ BENCHMARK(BM_KruskalClique)->Arg(64)->Arg(256);
 
 /// Exposed to main() below (anonymous-namespace internals stay internal).
 void run_engine_round_table() { engine_round_table(); }
+void register_micro_benchmarks() { register_route_shapes(); }
 
 }  // namespace ccq
 
 int main(int argc, char** argv) {
   ccq::bench::init(argc, argv, "bench_micro");
   ccq::run_engine_round_table();
+  ccq::register_micro_benchmarks();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

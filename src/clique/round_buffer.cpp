@@ -49,19 +49,7 @@ void RoundBuffer::commit_counts() {
     if (bytes_.size() < need) bytes_.resize(need);
   } else {
     reserve_slots();
-    cursor_.assign(offsets_.begin(), offsets_.end() - 1);
   }
-}
-
-Message& RoundBuffer::place(VertexId dst) {
-  CLIQUE_DCHECK(committed_ && !packed_,
-                "RoundBuffer::place: commit_counts first (unpacked mode)");
-  CLIQUE_DCHECK(dst < n_, "RoundBuffer::place: destination out of range");
-  const std::size_t b = static_cast<std::size_t>(dst) * rounds_;
-  std::size_t& at = cursor_[b];
-  CLIQUE_DCHECK(at < offsets_[b + 1],
-                "RoundBuffer::place: bucket overfilled vs announced count");
-  return slots_.data()[at++];
 }
 
 void RoundBuffer::reserve_slots() const {

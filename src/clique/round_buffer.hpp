@@ -4,7 +4,8 @@
 //
 //   counting pass   add_count(dst) per message (or per shard subtotal),
 //   commit_counts() prefix-sums the counts into bucket offsets,
-//   placement pass  place(dst) hands out slots left-to-right per bucket,
+//   placement pass  writers fill each bucket left-to-right from cursors
+//                   derived from offset(b), into data() or byte_data(),
 //
 // so a *stable* placement pass (messages visited in (sender, submission)
 // order) yields inboxes in that order. The buffer is reused across rounds:
@@ -13,8 +14,8 @@
 //
 // Two storage modes (chosen per reset):
 //
-//   unpacked  a flat Message arena, filled through place() / data() — the
-//             layout comm/routing's route_packets_into fills directly;
+//   unpacked  a flat Message arena, filled through data() — the layout
+//             comm/routing's route_packets_into fills directly;
 //   packed    a flat byte arena of packed records (clique/packed_message),
 //             filled by the engine through byte cursors. ~3-6x fewer bytes
 //             move per round; records are decoded back into Message form
@@ -67,14 +68,9 @@ class RoundBuffer {
   void add_bucket(std::size_t b, std::size_t msgs, std::size_t bytes);
 
   /// Freeze counts into bucket offsets and open the placement phase. Every
-  /// announced slot must then be filled via place() (or the per-shard
-  /// cursors the engine derives from offset()).
+  /// announced slot must then be filled through cursors derived from
+  /// offset() (slots start unwritten).
   void commit_counts();
-
-  /// Placement phase (unpacked mode): the next free slot of `dst`'s bucket
-  /// in sub-round 0. Filling in a stable order (sender id, then submission
-  /// order) yields inboxes in that order.
-  Message& place(VertexId dst);
 
   std::uint32_t n() const { return n_; }
   std::uint32_t rounds() const { return rounds_; }
@@ -113,7 +109,8 @@ class RoundBuffer {
   }
 
   /// Start of bucket `b` in the flat arena, in slots (placement phase); the
-  /// engine's parallel merge derives per-shard write cursors from this.
+  /// engine's parallel merge and route_packets_into derive per-shard write
+  /// cursors from this.
   std::size_t offset(std::size_t b) const { return offsets_[b]; }
   /// Start of bucket `b` in the packed byte arena.
   std::size_t byte_offset(std::size_t b) const { return byte_offsets_[b]; }
@@ -150,7 +147,6 @@ class RoundBuffer {
                                         // committed: prefix sums, n*rounds+1
   std::vector<std::uint8_t> bytes_;     // packed record arena (grow-only)
   std::vector<std::size_t> byte_offsets_;  // packed byte prefix sums
-  std::vector<std::size_t> cursor_;     // next free slot per bucket (place())
 };
 
 }  // namespace ccq

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <numeric>
-#include <span>
+#include <utility>
 
 #include "clique/load_profile.hpp"
 #include "clique/trace.hpp"
@@ -13,167 +12,9 @@ namespace ccq {
 
 namespace {
 
-/// Per-call scratch of bipartite_edge_coloring, reused by every
-/// Euler-halving level. Per-vertex slots cover left + right vertices plus
-/// the two dummies and are valid only where `stamp` equals the level's
-/// `generation`, so a level costs O(subset), not O(#vertices).
-class EulerHalver {
- public:
-  EulerHalver(const std::vector<std::pair<std::uint32_t, std::uint32_t>>&
-                  edges,
-              std::uint32_t left_size, std::uint32_t right_size)
-      : edges_(edges),
-        left_size_(left_size),
-        dummy_left_(left_size + right_size),
-        dummy_right_(left_size + right_size + 1),
-        stamp_(left_size + right_size + 2, 0),
-        degree_(stamp_.size(), 0),
-        local_(stamp_.size(), 0) {}
+constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
 
-  /// One Euler-halving level over `subset` (edge indices), rewritten in
-  /// place as part_a followed by part_b; returns |part_a|. The subset's
-  /// odd-degree vertices are first paired up with *dummy* edges (odd-left
-  /// with odd-right; any leftover — both sides have the same parity of odd
-  /// counts in a bipartite multigraph — pairs with a per-side dummy
-  /// vertex), making every degree even. Euler circuits of an all-even
-  /// multigraph close, so alternating edges along each circuit splits every
-  /// vertex's (real+dummy) degree exactly in half; discarding the dummies
-  /// leaves real degrees split as floor/ceil of d/2. Hence max degree drops
-  /// to ceil(Δ/2) per level with only O(#odd) dummy work — linear overall,
-  /// no regularization padding.
-  std::size_t halve(std::span<std::uint32_t> subset) {
-    ++generation_;
-    // Working edge list: real subset entries in subset order, then dummies.
-    work_.clear();
-    touched_.clear();
-    for (std::uint32_t idx : subset) {
-      const std::uint32_t u = edges_[idx].first;
-      const std::uint32_t v = left_size_ + edges_[idx].second;
-      work_.push_back({u, v, idx});
-      ++degree_[touch(u)];
-      ++degree_[touch(v)];
-    }
-    // Dummy pairing follows the sorted odd endpoints (left ids sort before
-    // the offset right ids), never first-touch order, so the dummy set is a
-    // function of the subset's edge multiset.
-    odd_.clear();
-    for (std::uint32_t v : touched_)
-      if (degree_[v] % 2 == 1) odd_.push_back(v);
-    std::sort(odd_.begin(), odd_.end());
-    const auto split = static_cast<std::size_t>(
-        std::lower_bound(odd_.begin(), odd_.end(), left_size_) -
-        odd_.begin());
-    const std::size_t odd_right = odd_.size() - split;
-    const std::size_t pairs = std::min(split, odd_right);
-    for (std::size_t i = 0; i < pairs; ++i)
-      work_.push_back({odd_[i], odd_[split + i], kDummy});
-    for (std::size_t i = pairs; i < split; ++i)
-      work_.push_back({odd_[i], touch(dummy_right_), kDummy});
-    for (std::size_t i = pairs; i < odd_right; ++i)
-      work_.push_back({touch(dummy_left_), odd_[split + i], kDummy});
-    // (dummy_left/right themselves end with even degree: the leftover counts
-    // are even because the two sides' odd counts share parity.)
-
-    // CSR incidence over local ids numbered by first appearance in work
-    // order; each list holds its work edges in ascending order (u's entry
-    // then v's, edge by edge), the order the circuit walk consumes them.
-    std::uint32_t num_local = 0;
-    offsets_.assign(1, 0);
-    for (WorkEdge& e : work_) {
-      for (std::uint32_t* end : {&e.u, &e.v}) {
-        std::uint32_t& id = local_[touch(*end)];
-        if (id == kNone) {
-          id = num_local++;
-          offsets_.push_back(0);
-        }
-        ++offsets_[id + 1];
-        *end = id;
-      }
-    }
-    for (std::uint32_t lv = 0; lv < num_local; ++lv)
-      offsets_[lv + 1] += offsets_[lv];
-    incident_.resize(2 * work_.size());
-    next_.assign(offsets_.begin(), offsets_.end() - 1);
-    for (std::uint32_t w = 0; w < work_.size(); ++w) {
-      incident_[next_[work_[w].u]++] = w;
-      incident_[next_[work_[w].v]++] = w;
-    }
-    used_.assign(work_.size(), 0);
-    next_.assign(offsets_.begin(), offsets_.end() - 1);
-    auto next_unused = [&](std::uint32_t lv) -> std::uint32_t {
-      std::uint32_t& ptr = next_[lv];
-      while (ptr < offsets_[lv + 1] && used_[incident_[ptr]]) ++ptr;
-      return ptr < offsets_[lv + 1] ? incident_[ptr] : kNone;
-    };
-    std::size_t size_a = 0;
-    part_b_.clear();
-    for (std::uint32_t start = 0; start < num_local; ++start) {
-      while (next_unused(start) != kNone) {
-        // All degrees even: the trail from `start` closes into a circuit,
-        // and circuits in bipartite graphs have even length, so strict
-        // alternation splits every visit pair across the two parts.
-        int parity = 0;
-        std::uint32_t at = start;
-        for (;;) {
-          const std::uint32_t w = next_unused(at);
-          if (w == kNone) break;
-          used_[w] = 1;
-          if (work_[w].real != kDummy) {
-            // `subset` was copied into work_, so part_a may overwrite it.
-            if (parity == 0)
-              subset[size_a++] = work_[w].real;
-            else
-              part_b_.push_back(work_[w].real);
-          }
-          parity ^= 1;
-          at = work_[w].u == at ? work_[w].v : work_[w].u;
-        }
-      }
-    }
-    check(size_a + part_b_.size() == subset.size(),
-          "bipartite_edge_coloring: euler split lost edges");
-    std::copy(part_b_.begin(), part_b_.end(), subset.begin() + size_a);
-    return size_a;
-  }
-
- private:
-  static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
-  static constexpr std::uint32_t kDummy = kNone;
-
-  struct WorkEdge {
-    std::uint32_t u;  // vertex id; local id once the CSR is built
-    std::uint32_t v;
-    std::uint32_t real;  // edge index, or kDummy
-  };
-
-  /// Opens v's per-vertex slots for this level; returns v.
-  std::uint32_t touch(std::uint32_t v) {
-    if (stamp_[v] != generation_) {
-      stamp_[v] = generation_;
-      degree_[v] = 0;
-      local_[v] = kNone;
-      touched_.push_back(v);
-    }
-    return v;
-  }
-
-  const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges_;
-  const std::uint32_t left_size_;
-  const std::uint32_t dummy_left_;
-  const std::uint32_t dummy_right_;
-  std::uint32_t generation_ = 0;
-  std::vector<std::uint32_t> stamp_;
-  std::vector<std::uint32_t> degree_;
-  std::vector<std::uint32_t> local_;
-  std::vector<std::uint32_t> touched_;
-  std::vector<std::uint32_t> odd_;
-  std::vector<WorkEdge> work_;
-  std::vector<std::uint32_t> offsets_;
-  std::vector<std::uint32_t> next_;
-  std::vector<std::uint32_t> incident_;
-  std::vector<std::uint8_t> used_;
-  std::vector<std::uint32_t> part_b_;
-};
+using Edges = std::span<const std::pair<std::uint32_t, std::uint32_t>>;
 
 /// Proper colouring of a bipartite multigraph on left/right ids [0, n)
 /// with exactly `delta` (its max degree) colours — König's line colouring
@@ -182,21 +23,24 @@ class EulerHalver {
 /// colour is free at both, let a be the smallest free at u and b the
 /// smallest free at v; flipping the a/b alternating path that starts at v
 /// frees a at v (the path cannot reach u, which has no a-edge), and the
-/// edge takes a. Memory is O(n + m + delta): a vertex's colours are found
-/// by scanning its incidence list, which is short for the run graphs this
-/// colours.
-std::vector<std::uint32_t> konig_edge_coloring(
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
-    std::uint32_t n, std::uint32_t delta) {
-  constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+/// edge takes a.
+///
+/// A *hot* vertex, of degree above max(16, delta / 8), keeps a colour ->
+/// edge table and a bitset of its used colours, so each lookup there is
+/// O(1). Any other vertex scans its incidence list, at most that many
+/// entries, into a scratch bitset. Hot vertices number at most
+/// 2m / (delta / 8), so their tables hold at most 16m entries: scratch is
+/// O(n + m) words for every delta.
+std::vector<std::uint32_t> konig_edge_coloring(Edges edges, std::uint32_t n,
+                                               std::uint32_t delta) {
+  const std::size_t ids = 2 * std::size_t{n};
   // CSR incidence over 2n ids: left u is u, right v is n + v.
-  std::vector<std::uint32_t> offsets(2 * std::size_t{n} + 1, 0);
+  std::vector<std::uint32_t> offsets(ids + 1, 0);
   for (const auto& [u, v] : edges) {
     ++offsets[u + 1];
     ++offsets[n + v + 1];
   }
-  for (std::size_t x = 0; x < 2 * std::size_t{n}; ++x)
-    offsets[x + 1] += offsets[x];
+  for (std::size_t x = 0; x < ids; ++x) offsets[x + 1] += offsets[x];
   std::vector<std::uint32_t> incident(2 * edges.size());
   {
     std::vector<std::uint32_t> next(offsets.begin(), offsets.end() - 1);
@@ -205,122 +49,102 @@ std::vector<std::uint32_t> konig_edge_coloring(
       incident[next[n + edges[e].second]++] = e;
     }
   }
+  const std::uint32_t hot_degree = std::max(16u, delta / 8);
+  std::vector<std::uint32_t> hot_slot(ids, kNone);
+  std::size_t hot = 0;
+  for (std::size_t x = 0; x < ids; ++x)
+    if (offsets[x + 1] - offsets[x] > hot_degree)
+      hot_slot[x] = static_cast<std::uint32_t>(hot++);
+  const std::size_t words = (std::size_t{delta} + 63) / 64;
+  std::vector<std::uint32_t> table(hot * delta, kNone);
+  // Hot vertices' used-colour bitsets, then two scratch sets (u, v).
+  std::vector<std::uint64_t> used((hot + 2) * words, 0);
   std::vector<std::uint32_t> color(edges.size(), kNone);
-  auto edge_at = [&](std::uint32_t x, std::uint32_t c) {
+
+  auto edge_at = [&](std::size_t x, std::uint32_t c) {
+    if (hot_slot[x] != kNone)
+      return table[hot_slot[x] * std::size_t{delta} + c];
     for (std::uint32_t i = offsets[x]; i < offsets[x + 1]; ++i)
       if (color[incident[i]] == c) return incident[i];
     return kNone;
   };
-  // used_u[c] / used_v[c] == e + 1 marks colour c as taken at edge e's
-  // endpoints, so the marks never need clearing.
-  std::vector<std::uint32_t> used_u(delta, 0);
-  std::vector<std::uint32_t> used_v(delta, 0);
+  // x's used colours; a cold vertex's are gathered into scratch set `side`.
+  auto used_of = [&](std::size_t x, std::size_t side) -> std::uint64_t* {
+    if (hot_slot[x] != kNone) return &used[hot_slot[x] * words];
+    std::uint64_t* bits = &used[(hot + side) * words];
+    for (std::uint32_t i = offsets[x]; i < offsets[x + 1]; ++i) {
+      const std::uint32_t c = color[incident[i]];
+      if (c != kNone) bits[c / 64] |= std::uint64_t{1} << (c % 64);
+    }
+    return bits;
+  };
+  auto first_free = [&](const std::uint64_t* a, const std::uint64_t* b) {
+    for (std::size_t w = 0; w < words; ++w)
+      if (const std::uint64_t free = ~(a[w] | b[w]))
+        return static_cast<std::uint32_t>(w * 64 + std::countr_zero(free));
+    return delta;
+  };
+  // Records (set) or erases f's colour c at f's hot endpoints.
+  auto mark = [&](std::uint32_t f, std::uint32_t c, bool set) {
+    for (const std::size_t x :
+         {std::size_t{edges[f].first}, n + std::size_t{edges[f].second}}) {
+      const std::uint32_t slot = hot_slot[x];
+      if (slot == kNone) continue;
+      table[slot * std::size_t{delta} + c] = set ? f : kNone;
+      std::uint64_t& w = used[slot * words + c / 64];
+      const std::uint64_t bit = std::uint64_t{1} << (c % 64);
+      w = set ? w | bit : w & ~bit;
+    }
+  };
   std::vector<std::uint32_t> path;
   for (std::uint32_t e = 0; e < edges.size(); ++e) {
-    const std::uint32_t u = edges[e].first;
-    const std::uint32_t v = n + edges[e].second;
-    for (std::uint32_t i = offsets[u]; i < offsets[u + 1]; ++i)
-      if (color[incident[i]] != kNone) used_u[color[incident[i]]] = e + 1;
-    for (std::uint32_t i = offsets[v]; i < offsets[v + 1]; ++i)
-      if (color[incident[i]] != kNone) used_v[color[incident[i]]] = e + 1;
-    std::uint32_t c = 0;
-    while (c < delta && (used_u[c] == e + 1 || used_v[c] == e + 1)) ++c;
-    if (c == delta) {
-      std::uint32_t a = 0;
-      while (used_u[a] == e + 1) ++a;
-      std::uint32_t b = 0;
-      while (used_v[b] == e + 1) ++b;
+    const std::size_t u = edges[e].first;
+    const std::size_t v = n + std::size_t{edges[e].second};
+    const std::uint64_t* used_u = used_of(u, 0);
+    const std::uint64_t* used_v = used_of(v, 1);
+    std::uint32_t c = first_free(used_u, used_v);
+    if (c >= delta) {
       // a, b < delta: u and v each have fewer than delta coloured edges.
+      const std::uint32_t a = first_free(used_u, used_u);
+      const std::uint32_t b = first_free(used_v, used_v);
       path.clear();
-      std::uint32_t at = v;
+      std::size_t at = v;
       for (std::uint32_t want = a;; want = want == a ? b : a) {
         const std::uint32_t f = edge_at(at, want);
         if (f == kNone) break;
         path.push_back(f);
-        at = at == edges[f].first ? n + edges[f].second : edges[f].first;
+        at = at == edges[f].first ? n + std::size_t{edges[f].second}
+                                  : edges[f].first;
       }
-      for (std::uint32_t f : path) color[f] = color[f] == a ? b : a;
+      // Erase every old colour before recording the new ones: an inner
+      // vertex of the path swaps its a- and b-edge.
+      for (std::uint32_t f : path) mark(f, color[f], false);
+      for (std::uint32_t f : path) {
+        color[f] = color[f] == a ? b : a;
+        mark(f, color[f], true);
+      }
       c = a;
     }
+    std::fill_n(&used[hot * words], 2 * words, 0);
     color[e] = c;
+    mark(e, c, true);
   }
   return color;
 }
 
-/// The run graph of a relayed (src, dst) sequence, built one pair at a
-/// time: one edge per *run*, a maximal stretch of equal consecutive pairs.
-/// The sequence is uniform bundles when every run has one length k >= 2
-/// and the run graph's max degree delta_S is at most n; coloring() then
-/// colours the runs with exactly delta_S colours, and the j-th pair of run
-/// r takes colour j * delta_S + c(r). Memory is O(runs).
-class RunGraph {
- public:
-  void push(std::uint32_t src, std::uint32_t dst) {
-    if (!uniform_) return;  // nothing more to learn
-    if (!runs_.empty() && runs_.back() == std::pair{src, dst}) {
-      ++length_;
-      return;
-    }
-    close_run();
-    runs_.emplace_back(src, dst);
-    length_ = 1;
-  }
-
-  /// The run colours (exactly delta_S of them) when the sequence is
-  /// uniform bundles on an n-node clique, else empty.
-  std::vector<std::uint32_t> coloring(std::uint32_t n) {
-    close_run();
-    length_ = 0;
-    if (!uniform_ || k_ < 2) return {};
-    std::vector<std::uint32_t> degl(n, 0);
-    std::vector<std::uint32_t> degr(n, 0);
-    delta_ = 0;
-    for (const auto& [u, v] : runs_) {
-      check(u < n && v < n, "uniform_bundle_coloring: endpoint out of range");
-      delta_ = std::max({delta_, ++degl[u], ++degr[v]});
-    }
-    if (delta_ > n) return {};
-    return konig_edge_coloring(runs_, n, delta_);
-  }
-
-  std::size_t k() const { return k_; }
-  std::uint32_t delta() const { return delta_; }
-
- private:
-  void close_run() {
-    if (length_ == 0) return;
-    if (k_ == 0) k_ = length_;
-    if (length_ != k_) uniform_ = false;
-  }
-
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> runs_;
-  std::size_t length_{0};  // pairs in the open run
-  std::size_t k_{0};       // length of the first run
-  bool uniform_{true};
-  std::uint32_t delta_{0};
-};
-
-/// Colouring for packet sets that are not uniform bundles. Overload
-/// pre-pass: when a few nodes carry load far above n (e.g. a coordinator
-/// absorbing n*polylog sketches), one colouring of the whole multigraph
-/// would need bit_ceil(L) colors for max load L. First-fit the packets
-/// into waves of per-vertex degree <= n — at most ceil(2L/n)+1 waves — and
-/// Euler-colour each wave independently in its own colour block; total
-/// rounds stay O(1 + L/n).
-///
+/// Exact per-wave colouring (see wave_edge_coloring in the header).
 /// First-fit places a packet of s at wave <= (#waves full for s) +
 /// (#waves full for d), and a full wave holds n of a vertex's packets, so
 /// every wave index is below `width`; send_use/recv_use are flat n x width
 /// tables (n * width <= n + 2 * #packets) of per-wave degrees. Per-vertex
 /// full waves only grow, so scanning starts at the larger of the two
 /// endpoints' first-free hints.
-std::vector<std::uint32_t> wave_edge_coloring(
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
-    std::uint32_t n, std::uint64_t max_send_load,
-    std::uint64_t max_recv_load) {
+std::vector<std::uint32_t> wave_coloring(Edges edges, std::uint32_t n,
+                                         std::uint64_t max_send_load,
+                                         std::uint64_t max_recv_load) {
   const std::uint64_t width = max_send_load / n + max_recv_load / n + 1;
   std::vector<std::uint32_t> wave_of(edges.size(), 0);
-  std::uint32_t num_waves = 1;
+  std::vector<std::uint32_t> wave_delta(1, 0);
   {
     std::vector<std::uint32_t> send_use(n * width, 0);
     std::vector<std::uint32_t> recv_use(n * width, 0);
@@ -333,16 +157,16 @@ std::vector<std::uint32_t> wave_edge_coloring(
       std::uint32_t& r_hint = recv_hint[edges[e].second];
       std::uint32_t w = std::max(s_hint, r_hint);
       while (send[w] >= n || recv[w] >= n) ++w;
-      ++send[w];
-      ++recv[w];
+      if (w >= wave_delta.size()) wave_delta.resize(w + 1, 0);
+      wave_delta[w] = std::max({wave_delta[w], ++send[w], ++recv[w]});
       while (s_hint < width && send[s_hint] >= n) ++s_hint;
       while (r_hint < width && recv[r_hint] >= n) ++r_hint;
       wave_of[e] = w;
-      num_waves = std::max(num_waves, w + 1);
     }
   }
+  const auto num_waves = static_cast<std::uint32_t>(wave_delta.size());
   // Bucket the edges by wave in one pass, edge order kept within a wave,
-  // and give wave w a disjoint color block.
+  // and give wave w the colour block of its wave_delta[w] colours.
   std::vector<std::size_t> wave_start(num_waves + 1, 0);
   for (std::uint32_t w : wave_of) ++wave_start[w + 1];
   for (std::uint32_t w = 0; w < num_waves; ++w)
@@ -360,76 +184,112 @@ std::vector<std::uint32_t> wave_edge_coloring(
     wave_edges.clear();
     for (std::size_t i = wave_start[w]; i < wave_start[w + 1]; ++i)
       wave_edges.push_back(edges[by_wave[i]]);
-    const auto wave_color = bipartite_edge_coloring(wave_edges, n, n);
-    std::uint32_t used = 0;
-    for (std::size_t i = 0; i < wave_edges.size(); ++i) {
+    const auto wave_color = konig_edge_coloring(wave_edges, n, wave_delta[w]);
+    for (std::size_t i = 0; i < wave_edges.size(); ++i)
       color[by_wave[wave_start[w] + i]] = color_base + wave_color[i];
-      used = std::max(used, wave_color[i] + 1);
-    }
-    color_base += used;
+    color_base += wave_delta[w];
   }
   return color;
 }
 
+
+/// A maximal stretch of consecutive relayed packets with one (src, dst).
+struct Run {
+  std::uint32_t src;
+  std::uint32_t dst;
+  std::size_t length;
+};
+
+/// The run graph of a relayed (src, dst) sequence, one edge per run, built
+/// from runs in sequence order: a pushed run with the previous run's pair
+/// continues it, so per-chunk run lists join at chunk boundaries. The
+/// sequence is uniform bundles when every run has one length k >= 2 and
+/// the run graph's max degree delta_S is at most n; coloring() then
+/// colours the runs with exactly delta_S colours, and the j-th pair of run
+/// r takes colour j * delta_S + c(r). Memory is O(runs).
+class RunGraph {
+ public:
+  /// Appends `run`; returns the run it lands in and its packets before.
+  std::pair<std::size_t, std::size_t> push(const Run& run) {
+    if (!runs_.empty() && runs_.back() == std::pair{run.src, run.dst}) {
+      const std::size_t before = length_.back();
+      length_.back() += run.length;
+      return {runs_.size() - 1, before};
+    }
+    runs_.emplace_back(run.src, run.dst);
+    length_.push_back(run.length);
+    return {runs_.size() - 1, 0};
+  }
+
+  /// The run colours (exactly delta_S of them) when the sequence is
+  /// uniform bundles on an n-node clique, else empty.
+  std::vector<std::uint32_t> coloring(std::uint32_t n) {
+    if (runs_.empty()) return {};
+    k_ = length_.front();
+    if (k_ < 2 || std::any_of(length_.begin(), length_.end(),
+                              [&](std::size_t len) { return len != k_; }))
+      return {};
+    std::vector<std::uint32_t> degl(n, 0);
+    std::vector<std::uint32_t> degr(n, 0);
+    delta_ = 0;
+    for (const auto& [u, v] : runs_) {
+      check(u < n && v < n, "uniform_bundle_coloring: endpoint out of range");
+      delta_ = std::max({delta_, ++degl[u], ++degr[v]});
+    }
+    if (delta_ > n) return {};
+    return konig_edge_coloring(runs_, n, delta_);
+  }
+
+  std::size_t k() const { return k_; }
+  std::uint32_t delta() const { return delta_; }
+
+ private:
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> runs_;
+  std::vector<std::size_t> length_;
+  std::size_t k_{0};
+  std::uint32_t delta_{0};
+};
+
+/// One fixed chunk of route_packets_into's packets. The header pass fills
+/// the per-vertex counts and the runs; the serial merge turns `local` and
+/// `relayed` into the chunk's write cursors; the delivery pass advances
+/// them and tallies the chunk's messages and words per batch.
+struct RouteChunk {
+  std::vector<std::size_t> local;    // per dst: local packets, then cursor
+  std::vector<std::size_t> relayed;  // per dst: relayed packets, then cursor
+  std::vector<std::uint32_t> sent;   // per src: relayed packets
+  std::vector<Run> runs;             // relayed runs, in packet order
+  std::size_t first_run{0};   // run of the chunk's first relayed packet
+  std::size_t first_j{0};     // that packet's position in its run
+  std::size_t first_edge{0};  // that packet's index among relayed packets
+  std::vector<std::uint64_t> batch_msgs;
+  std::vector<std::uint64_t> batch_words;
+};
+
 }  // namespace
 
-std::vector<std::uint32_t> bipartite_edge_coloring(
+std::vector<std::uint32_t> wave_edge_coloring(
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
-    std::uint32_t left_size, std::uint32_t right_size) {
-  if (edges.empty()) return {};
-  // Recursive Euler halving with per-level even-degree padding: max degree
-  // drops from Δ to ceil(Δ/2) per level, so after ceil(log2 Δ) levels every
-  // leaf subset is a matching and gets one color — at most bit_ceil(Δ) <
-  // 2Δ colors, each a proper matching, in O(m log Δ) work.
-  check(edges.size() < (std::size_t{1} << 31) &&
-            std::uint64_t{left_size} + right_size + 2 <= UINT32_MAX,
-        "bipartite_edge_coloring: multigraph too large");
-  std::size_t delta = 1;
-  {
-    std::vector<std::size_t> degl(left_size, 0);
-    std::vector<std::size_t> degr(right_size, 0);
-    for (const auto& [u, d] : edges) {
-      check(u < left_size && d < right_size,
-            "bipartite_edge_coloring: endpoint out of range");
-      delta = std::max(delta, ++degl[u]);
-      delta = std::max(delta, ++degr[d]);
-    }
+    std::uint32_t n) {
+  check(edges.size() < (std::size_t{1} << 31),
+        "wave_edge_coloring: multigraph too large");
+  std::vector<std::uint64_t> send(n, 0);
+  std::vector<std::uint64_t> recv(n, 0);
+  std::uint64_t max_send = 0;
+  std::uint64_t max_recv = 0;
+  for (const auto& [u, v] : edges) {
+    check(u < n && v < n, "wave_edge_coloring: endpoint out of range");
+    max_send = std::max(max_send, ++send[u]);
+    max_recv = std::max(max_recv, ++recv[v]);
   }
-  const auto target = static_cast<std::uint32_t>(std::bit_ceil(delta));
-  std::vector<std::uint32_t> color(edges.size(), 0);
-  // Every subset is a contiguous range of `order`; halving rewrites its
-  // range as part_a then part_b.
-  std::vector<std::uint32_t> order(edges.size());
-  std::iota(order.begin(), order.end(), 0u);
-  struct Range {
-    std::size_t begin;
-    std::size_t end;
-    std::uint32_t offset;  // first color of the range's budget
-    std::uint32_t budget;
-  };
-  std::vector<Range> stack{{0, edges.size(), 0, target}};
-  EulerHalver halver{edges, left_size, right_size};
-  while (!stack.empty()) {
-    const Range r = stack.back();
-    stack.pop_back();
-    if (r.begin == r.end) continue;
-    if (r.budget <= 1) {
-      for (std::size_t i = r.begin; i < r.end; ++i) color[order[i]] = r.offset;
-      continue;
-    }
-    const std::size_t mid =
-        r.begin + halver.halve({order.data() + r.begin, r.end - r.begin});
-    stack.push_back({r.begin, mid, r.offset, r.budget / 2});
-    stack.push_back({mid, r.end, r.offset + r.budget / 2, r.budget / 2});
-  }
-  return color;
+  return wave_coloring(edges, n, max_send, max_recv);
 }
 
 std::vector<std::uint32_t> uniform_bundle_coloring(
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
     std::uint32_t n) {
   RunGraph runs;
-  for (const auto& [src, dst] : edges) runs.push(src, dst);
+  for (const auto& [src, dst] : edges) runs.push({src, dst, 1});
   const auto run_color = runs.coloring(n);
   if (run_color.empty()) return {};
   // The j-th packet of a run takes colour j * delta + c(run): within one
@@ -448,102 +308,163 @@ void route_packets_into(CliqueEngine& engine,
   const std::uint32_t n = engine.n();
   TraceScope trace_scope{engine, "comm/route"};
   out.reset(n);
+  std::vector<RouteChunk> chunks(
+      (packets.size() + kRouteChunkPackets - 1) / kRouteChunkPackets);
+  auto chunk_packets = [&](std::size_t c) {
+    const std::size_t begin = c * kRouteChunkPackets;
+    return packets.subspan(
+        begin, std::min(kRouteChunkPackets, packets.size() - begin));
+  };
+  // Header pass: endpoint checks, per-vertex counts and relayed runs.
+  engine.run_local(chunks.size(), [&](unsigned, std::size_t c) {
+    RouteChunk& chunk = chunks[c];
+    chunk.local.assign(n, 0);
+    chunk.relayed.assign(n, 0);
+    chunk.sent.assign(n, 0);
+    for (const Packet& p : chunk_packets(c)) {
+      check(p.src < n && p.dst < n,
+            "route_packets_into: endpoint out of range");
+      if (p.src == p.dst) {  // local delivery is free in the model
+        ++chunk.local[p.dst];
+        continue;
+      }
+      ++chunk.relayed[p.dst];
+      ++chunk.sent[p.src];
+      if (!chunk.runs.empty() && chunk.runs.back().src == p.src &&
+          chunk.runs.back().dst == p.dst)
+        ++chunk.runs.back().length;
+      else
+        chunk.runs.push_back({p.src, p.dst, 1});
+    }
+  });
+  // Merge in chunk order: loads, inbox sizes, the joined run graph and
+  // where each chunk's relayed packets start.
   std::vector<std::uint64_t> send_load(n, 0);
   std::vector<std::uint64_t> recv_load(n, 0);
+  std::vector<std::size_t> local_at(n, 0);
   RunGraph runs;
-  std::vector<std::size_t> local_packets;
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    const Packet& p = packets[i];
-    check(p.src < n && p.dst < n, "route_packets_into: endpoint out of range");
-    out.add_count(p.dst);
-    if (p.src == p.dst) {  // local delivery is free in the model
-      local_packets.push_back(i);
-      continue;
+  std::size_t relayed = 0;
+  for (RouteChunk& chunk : chunks) {
+    for (VertexId v = 0; v < n; ++v) {
+      send_load[v] += chunk.sent[v];
+      recv_load[v] += chunk.relayed[v];
+      local_at[v] += chunk.local[v];
     }
-    runs.push(p.src, p.dst);
-    ++send_load[p.src];
-    ++recv_load[p.dst];
+    chunk.first_edge = relayed;
+    for (std::size_t i = 0; i < chunk.runs.size(); ++i) {
+      const auto [run, j] = runs.push(chunk.runs[i]);
+      if (i == 0) {
+        chunk.first_run = run;
+        chunk.first_j = j;
+      }
+      relayed += chunk.runs[i].length;
+    }
   }
-  const std::size_t relayed = packets.size() - local_packets.size();
+  for (VertexId v = 0; v < n; ++v)
+    out.add_count(v, local_at[v] + recv_load[v]);
   out.commit_counts();
-  // Local deliveries land first in each inbox, in packet order.
-  for (const std::size_t i : local_packets) {
-    const Packet& p = packets[i];
-    Message& m = out.place(p.dst);
-    m = p.msg;
-    m.src = p.src;
-    m.dst = p.dst;
+  // Per-inbox order: local deliveries in packet order, then relayed ones
+  // in packet order. Each chunk writes from cursors past the slots of the
+  // chunks before it.
+  std::vector<std::size_t> relayed_at(n);
+  for (VertexId v = 0; v < n; ++v) {
+    relayed_at[v] = out.offset(v) + local_at[v];
+    local_at[v] = out.offset(v);
+  }
+  for (RouteChunk& chunk : chunks) {
+    for (VertexId v = 0; v < n; ++v) {
+      local_at[v] += std::exchange(chunk.local[v], local_at[v]);
+      relayed_at[v] += std::exchange(chunk.relayed[v], relayed_at[v]);
+    }
   }
   RouteStats local{};
   local.max_send_load = *std::max_element(send_load.begin(), send_load.end());
   local.max_recv_load = *std::max_element(recv_load.begin(), recv_load.end());
-  if (relayed > 0) {
-    // Uniform bundles (every run of equal consecutive pairs one length,
-    // the SQ-MST and GC sketch shape) get the optimal k * delta_S colours
-    // from one colouring of the small run graph, expanded per packet on the
-    // fly, so their scratch is O(runs). Every other packet set keeps the
-    // wave + Euler colouring over a per-packet edge list.
-    const std::vector<std::uint32_t> run_color = runs.coloring(n);
-    std::vector<std::size_t> packet_of_edge;
-    std::vector<std::uint32_t> color;
-    if (run_color.empty()) {
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-      edges.reserve(relayed);
-      packet_of_edge.reserve(relayed);
-      for (std::size_t i = 0; i < packets.size(); ++i) {
-        if (packets[i].src == packets[i].dst) continue;
-        edges.emplace_back(packets[i].src, packets[i].dst);
-        packet_of_edge.push_back(i);
+
+  // Uniform bundles (every run of equal consecutive pairs one length, the
+  // SQ-MST and GC sketch shape) get the optimal k * delta_S colours from
+  // one colouring of the small run graph, expanded per packet on the fly,
+  // so their scratch is O(runs). Every other packet set takes the exact
+  // per-wave colouring over a per-packet edge list.
+  const std::vector<std::uint32_t> run_color =
+      relayed > 0 ? runs.coloring(n) : std::vector<std::uint32_t>{};
+  const bool bundles = !run_color.empty();
+  std::vector<std::uint32_t> color;
+  if (relayed > 0 && !bundles) {
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+    edges.reserve(relayed);
+    for (const Packet& p : packets)
+      if (p.src != p.dst) edges.emplace_back(p.src, p.dst);
+    color = wave_coloring(edges, n, local.max_send_load, local.max_recv_load);
+  }
+  std::uint64_t num_colors = 0;
+  if (bundles)
+    num_colors = std::uint64_t{runs.k()} * runs.delta();
+  else if (relayed > 0)
+    num_colors = 1 + *std::max_element(color.begin(), color.end());
+  // Colors are grouped into batches of up to `n * messages_per_link`
+  // simultaneous relays; each batch is delivered in two rounds
+  // (src -> relay, relay -> dst), bandwidth-legal because within one
+  // color no two packets share a src or share a dst.
+  const std::uint64_t colors_per_batch =
+      static_cast<std::uint64_t>(n) * engine.messages_per_link();
+  const std::uint64_t batches =
+      (num_colors + colors_per_batch - 1) / colors_per_batch;
+  // Visits the packets of `part` in order, each relayed one with its
+  // colour, starting from the colour position of its first relayed packet.
+  const auto walk = [&](std::span<const Packet> part, std::size_t r,
+                        std::size_t j, std::size_t e, auto&& on_local,
+                        auto&& on_relayed) {
+    for (const Packet& p : part) {
+      if (p.src == p.dst) {
+        on_local(p);
+        continue;
       }
-      color = wave_edge_coloring(edges, n, local.max_send_load,
-                                 local.max_recv_load);
-    }
-    // Visit the relayed packets in packet order with their colours.
-    const auto for_each_relayed = [&](auto&& visit) {
-      if (run_color.empty()) {
-        for (std::size_t e = 0; e < packet_of_edge.size(); ++e)
-          visit(packets[packet_of_edge[e]], color[e]);
-        return;
-      }
-      std::size_t r = 0;
-      std::uint32_t j = 0;
-      for (const Packet& p : packets) {
-        if (p.src == p.dst) continue;
-        visit(p, j * runs.delta() + run_color[r]);
+      if (bundles) {
+        on_relayed(p, static_cast<std::uint32_t>(j) * runs.delta() +
+                          run_color[r]);
         if (++j == runs.k()) {
           j = 0;
           ++r;
         }
+      } else {
+        on_relayed(p, color[e++]);
       }
-    };
-    const std::uint32_t num_colors =
-        run_color.empty()
-            ? 1 + *std::max_element(color.begin(), color.end())
-            : static_cast<std::uint32_t>(runs.k() - 1) * runs.delta() + 1 +
-                  *std::max_element(run_color.begin(), run_color.end());
-    // Colors are grouped into batches of up to `n * messages_per_link`
-    // simultaneous relays; each batch is delivered in two rounds
-    // (src -> relay, relay -> dst), bandwidth-legal because within one
-    // color no two packets share a src or share a dst.
-    const std::uint64_t colors_per_batch =
-        static_cast<std::uint64_t>(n) * engine.messages_per_link();
-    const std::uint64_t batches =
-        (num_colors + colors_per_batch - 1) / colors_per_batch;
-    // Deliver, in packet order, while grouping packet counts/words per
-    // batch for exact accounting.
-    std::vector<std::uint64_t> batch_msgs(batches, 0);
-    std::vector<std::uint64_t> batch_words(batches, 0);
-    for_each_relayed([&](const Packet& p, std::uint32_t c) {
-      const std::uint64_t b = c / colors_per_batch;
-      batch_msgs[b] += 2;  // two hops
-      // Relay hop carries the final destination alongside the payload: one
-      // extra O(log n)-bit word.
-      batch_words[b] += 2ull * p.msg.count + 1;
-      Message& m = out.place(p.dst);
+    }
+  };
+  // Delivery pass: copy every packet to its slot and tally each batch's
+  // messages and words for exact accounting.
+  Message* const slots = out.data();
+  engine.run_local(chunks.size(), [&](unsigned, std::size_t c) {
+    RouteChunk& chunk = chunks[c];
+    chunk.batch_msgs.assign(batches, 0);
+    chunk.batch_words.assign(batches, 0);
+    const auto deliver = [&](const Packet& p, std::size_t slot) {
+      Message& m = slots[slot];
       m = p.msg;
       m.src = p.src;
       m.dst = p.dst;
-    });
+    };
+    walk(
+        chunk_packets(c), chunk.first_run, chunk.first_j, chunk.first_edge,
+        [&](const Packet& p) { deliver(p, chunk.local[p.dst]++); },
+        [&](const Packet& p, std::uint32_t col) {
+          const std::uint64_t b = col / colors_per_batch;
+          chunk.batch_msgs[b] += 2;  // two hops
+          // Relay hop carries the final destination alongside the payload:
+          // one extra O(log n)-bit word.
+          chunk.batch_words[b] += 2ull * p.msg.count + 1;
+          deliver(p, chunk.relayed[p.dst]++);
+        });
+  });
+  if (relayed > 0) {
+    std::vector<std::uint64_t> batch_msgs(batches, 0);
+    std::vector<std::uint64_t> batch_words(batches, 0);
+    for (const RouteChunk& chunk : chunks)
+      for (std::uint64_t b = 0; b < batches; ++b) {
+        batch_msgs[b] += chunk.batch_msgs[b];
+        batch_words[b] += chunk.batch_words[b];
+      }
     for (std::uint64_t b = 0; b < batches; ++b) {
       engine.charge_verified_round(batch_msgs[b] / 2 + batch_msgs[b] % 2,
                                    (batch_words[b] + 1) / 2);
@@ -551,12 +472,14 @@ void route_packets_into(CliqueEngine& engine,
     }
     for (std::uint64_t r = 0; r < kScheduleRounds; ++r)
       engine.charge_verified_round(0, 0);
+    const auto skip_local = [](const Packet&) {};
     if (engine.has_observer()) {
-      for_each_relayed([&](const Packet& p, std::uint32_t c) {
-        const auto relay = static_cast<VertexId>(c % n);
-        engine.observe(p.src, relay);
-        engine.observe(relay, p.dst);
-      });
+      walk(packets, 0, 0, 0, skip_local,
+           [&](const Packet& p, std::uint32_t col) {
+             const auto relay = static_cast<VertexId>(col % n);
+             engine.observe(p.src, relay);
+             engine.observe(relay, p.dst);
+           });
     }
     // Per-hop load attribution, mirroring the observer replay above: hop 1
     // carries the payload plus the one-word destination header, hop 2 the
@@ -565,11 +488,12 @@ void route_packets_into(CliqueEngine& engine,
     // attribution site that justifies src/comm's slot in CL006's
     // allowlist).
     if (LoadProfile* load = engine.load_profile()) {
-      for_each_relayed([&](const Packet& p, std::uint32_t c) {
-        const auto relay = static_cast<VertexId>(c % n);
-        load->add_flow(p.src, relay, 1, p.msg.count + 1);
-        load->add_flow(relay, p.dst, 1, p.msg.count);
-      });
+      walk(packets, 0, 0, 0, skip_local,
+           [&](const Packet& p, std::uint32_t col) {
+             const auto relay = static_cast<VertexId>(col % n);
+             load->add_flow(p.src, relay, 1, p.msg.count + 1);
+             load->add_flow(relay, p.dst, 1, p.msg.count);
+           });
     }
     local.rounds = 2 * batches + kScheduleRounds;
     local.color_batches = batches;

@@ -17,8 +17,9 @@
 // the maximum number of packets any node sends or receives, matching
 // Lenzen's bound (including the O(1) regime when L <= n).
 //
-// Two colorings, selected by the packet set alone. A *run* is a maximal
-// stretch of consecutive relayed packets with the same (src, dst).
+// Two colorings, selected by the packet set alone, both exact. A *run* is
+// a maximal stretch of consecutive relayed packets with the same
+// (src, dst).
 //  - Uniform bundles: every run has one length k >= 2 and the run graph
 //    (one edge per run) has max degree delta_S <= n. The run graph is
 //    colored with exactly delta_S colors (König, alternating paths) and
@@ -27,9 +28,18 @@
 //    coloring. Sketch routes (every copy and chunk of one sketch collection
 //    to one receiver) have this shape.
 //  - Every other packet set: first-fit waves of per-vertex degree <= n,
-//    each wave colored by Euler halving (bipartite_edge_coloring) in its
-//    own color block.
+//    each wave colored by the same alternating-path coloring with exactly
+//    its max degree Delta_w colors, in its own color block. When every
+//    node sends and receives at most n packets there is one wave, so the
+//    route takes exactly ceil(Delta / (n * messages_per_link)) batches.
 // Delivery order never depends on the colors; only the relays do.
+//
+// The header pass (endpoint checks, counts, loads, runs) and the delivery
+// copy run on the engine's worker pool (CliqueEngine::run_local) over
+// fixed chunks of kRouteChunkPackets packets, merged in chunk order. Like
+// the engine's sharded rounds this is invisible to the model: inboxes,
+// Metrics, RouteStats, observer and load profile are identical for every
+// EngineConfig::threads.
 //
 // The coloring itself is computed centrally by the simulator. This is the
 // substitution documented in DESIGN.md: Lenzen's result guarantees an
@@ -40,8 +50,10 @@
 // observer hop by hop.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "clique/engine.hpp"
@@ -82,15 +94,19 @@ void route_packets_into(CliqueEngine& engine,
                         std::span<const Packet> packets, RoundBuffer& out,
                         RouteStats* stats = nullptr);
 
-/// Proper edge coloring of the bipartite multigraph {(src_i, dst_i)} via
-/// iterated Euler partition. Returns one color per edge; the number of
-/// colors is at most 2^ceil(log2(max_degree)) < 2 * max_degree, and within
-/// a color no two edges share a src or share a dst. route_packets_into
-/// uses it per first-fit wave for packet sets that are not uniform
-/// bundles. Exposed for testing.
-std::vector<std::uint32_t> bipartite_edge_coloring(
+/// Packets per chunk of route_packets_into's parallel passes; a route of
+/// at most this many packets runs on one lane. Exposed for testing.
+inline constexpr std::size_t kRouteChunkPackets = std::size_t{1} << 15;
+
+/// The coloring route_packets_into applies to a relayed (src, dst)
+/// sequence on an n-node clique that is not uniform bundles: first-fit
+/// waves of per-vertex degree <= n, wave w colored with exactly its max
+/// degree Delta_w colors, in consecutive color blocks (wave 0 first).
+/// Within a color no two edges share a src or share a dst. Exposed for
+/// testing.
+std::vector<std::uint32_t> wave_edge_coloring(
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
-    std::uint32_t left_size, std::uint32_t right_size);
+    std::uint32_t n);
 
 /// The uniform-bundle coloring route_packets_into applies to its relayed
 /// (src, dst) sequence on an n-node clique (see the header comment).

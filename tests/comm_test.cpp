@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <set>
 #include <span>
 
+#include "clique/load_profile.hpp"
 #include "comm/primitives.hpp"
 #include "comm/routing.hpp"
 #include "comm/shared_random.hpp"
@@ -58,38 +60,85 @@ TEST(Primitives, ResolveIdsKt0CostsOneFullRound) {
   EXPECT_EQ(engine.metrics().messages, 90u);
 }
 
-TEST(Coloring, ProperOnRandomMultigraphs) {
+/// Reference first-fit waves: edge e joins the smallest wave where both of
+/// its endpoints still have fewer than n edges. Returns each edge's wave
+/// and each wave's max degree.
+std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>>
+first_fit_waves(
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
+    std::uint32_t n) {
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> src_use;
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> dst_use;
+  std::vector<std::uint32_t> wave(edges.size());
+  std::vector<std::uint32_t> delta;
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    std::uint32_t w = 0;
+    while (src_use[{edges[e].first, w}] >= n ||
+           dst_use[{edges[e].second, w}] >= n)
+      ++w;
+    wave[e] = w;
+    if (w >= delta.size()) delta.resize(w + 1, 0);
+    delta[w] = std::max({delta[w], ++src_use[{edges[e].first, w}],
+                         ++dst_use[{edges[e].second, w}]});
+  }
+  return {wave, delta};
+}
+
+/// Checks wave_edge_coloring on `edges`: proper (no shared src or dst
+/// within a colour), and wave w of the reference first-fit takes exactly
+/// the colour block [sum of earlier Delta, + Delta_w). Returns the total
+/// colour count.
+std::uint32_t expect_exact_waves(
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
+    std::uint32_t n) {
+  const auto color = wave_edge_coloring(edges, n);
+  EXPECT_EQ(color.size(), edges.size());
+  std::set<std::pair<std::uint32_t, std::uint32_t>> src_used;
+  std::set<std::pair<std::uint32_t, std::uint32_t>> dst_used;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    EXPECT_TRUE(src_used.insert({color[i], edges[i].first}).second);
+    EXPECT_TRUE(dst_used.insert({color[i], edges[i].second}).second);
+  }
+  const auto [wave, delta] = first_fit_waves(edges, n);
+  std::vector<std::uint32_t> base(delta.size() + 1, 0);
+  for (std::size_t w = 0; w < delta.size(); ++w)
+    base[w + 1] = base[w] + delta[w];
+  std::vector<std::set<std::uint32_t>> used(delta.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    EXPECT_GE(color[i], base[wave[i]]);
+    EXPECT_LT(color[i], base[wave[i] + 1]);
+    used[wave[i]].insert(color[i]);
+  }
+  for (std::size_t w = 0; w < delta.size(); ++w)
+    EXPECT_EQ(used[w].size(), delta[w]) << "wave " << w;
+  return base.back();
+}
+
+TEST(Coloring, WavesUseExactlyTheirMaxDegree) {
+  // Loads below and far above n, on sparse and dense multigraphs.
   Rng rng{5};
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto left = static_cast<std::uint32_t>(1 + rng.next_below(12));
-    const auto right = static_cast<std::uint32_t>(1 + rng.next_below(12));
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto n = static_cast<std::uint32_t>(1 + rng.next_below(24));
+    const auto hot = static_cast<std::uint32_t>(rng.next_below(3));
     std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-    const std::size_t m = rng.next_below(200);
-    for (std::size_t i = 0; i < m; ++i)
-      edges.emplace_back(rng.next_below(left), rng.next_below(right));
-    const auto color = bipartite_edge_coloring(edges, left, right);
-    ASSERT_EQ(color.size(), edges.size());
-    // Properness: within a color no shared left or right endpoint.
-    std::map<std::pair<std::uint32_t, std::uint32_t>, int> used;  // (color, v)
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      EXPECT_EQ((++used[{color[i], edges[i].first}]), 1);
-      EXPECT_EQ((++used[{color[i], edges[i].second + left}]), 1);
+    const std::size_t m = rng.next_below(trial % 4 == 0 ? 2000 : 200);
+    for (std::size_t i = 0; i < m; ++i) {
+      const auto src = static_cast<std::uint32_t>(rng.next_below(n));
+      const auto dst = static_cast<std::uint32_t>(
+          hot > 0 && rng.next_below(4) != 0 ? rng.next_below(std::min(hot, n))
+                                            : rng.next_below(n));
+      edges.emplace_back(src, dst);
     }
-    // Color count within a constant factor of the max degree.
-    std::map<std::uint32_t, std::size_t> degl, degr;
-    for (const auto& [a, b] : edges) {
-      ++degl[a];
-      ++degr[b];
+    std::map<std::uint32_t, std::uint32_t> degl, degr;
+    std::uint32_t delta = 0;
+    for (const auto& [a, b] : edges)
+      delta = std::max({delta, ++degl[a], ++degr[b]});
+    const std::uint32_t colors = expect_exact_waves(edges, n);
+    // One wave when Delta <= n: exactly Delta colours, König's bound.
+    if (delta <= n) {
+      EXPECT_EQ(colors, delta) << "trial " << trial;
     }
-    std::size_t delta = 1;
-    for (const auto& [v, d] : degl) delta = std::max(delta, d);
-    for (const auto& [v, d] : degr) delta = std::max(delta, d);
-    if (!edges.empty()) {
-      // Euler halving uses at most bit_ceil(delta) < 2*delta colors.
-      const std::uint32_t colors =
-          1 + *std::max_element(color.begin(), color.end());
-      EXPECT_LE(colors, 2 * delta);
-    }
+    EXPECT_GE(colors, delta);
   }
 }
 
@@ -314,7 +363,7 @@ TEST(ColoringGolden, SmallRandomMultigraphs) {
     const std::size_t m = rng.next_below(300);
     for (std::size_t i = 0; i < m; ++i)
       edges.emplace_back(rng.next_below(left), rng.next_below(right));
-    for (std::uint32_t c : bipartite_edge_coloring(edges, left, right))
+    for (std::uint32_t c : wave_edge_coloring(edges, std::max(left, right)))
       h = fnv_mix(h, c);
   }
   EXPECT_EQ(h, 16183129888119745015ULL);
@@ -334,7 +383,7 @@ TEST(ColoringGolden, HotReceiversFarAboveN) {
                          : hot[rng.next_below(4)];
     edges.emplace_back(src, dst);
   }
-  const auto color = bipartite_edge_coloring(edges, n, n);
+  const auto color = wave_edge_coloring(edges, n);
   std::uint64_t h = kFnvBasis;
   for (std::uint32_t c : color) h = fnv_mix(h, c);
   EXPECT_EQ(1 + *std::max_element(color.begin(), color.end()), 32768u);
@@ -359,10 +408,14 @@ Packet pin_packet(VertexId src, VertexId dst, std::uint64_t i) {
   return {src, dst, make_message(0, std::span{words, i % 4})};
 }
 
-void expect_packets_pin(std::uint32_t n, std::uint32_t messages_per_link,
-                        const std::vector<Packet>& packets,
-                        const RoutePin& pin) {
-  CliqueEngine engine{{.n = n, .messages_per_link = messages_per_link}};
+void expect_packets_pin_at(std::uint32_t threads, std::uint32_t n,
+                           std::uint32_t messages_per_link,
+                           const std::vector<Packet>& packets,
+                           const RoutePin& pin) {
+  SCOPED_TRACE("threads=" + std::to_string(threads));
+  CliqueEngine engine{{.n = n,
+                       .messages_per_link = messages_per_link,
+                       .threads = threads}};
   std::uint64_t h = kFnvBasis;
   engine.set_observer([&](VertexId s, VertexId d) {
     h = fnv_mix(h, (static_cast<std::uint64_t>(s) << 32) | d);
@@ -380,6 +433,14 @@ void expect_packets_pin(std::uint32_t n, std::uint32_t messages_per_link,
   EXPECT_EQ(m.words, pin.words);
   EXPECT_EQ(m.max_messages_in_round, pin.max_messages_in_round);
   EXPECT_EQ(h, pin.relay_digest);
+}
+
+/// Pins one route at engine threads 1 and 4.
+void expect_packets_pin(std::uint32_t n, std::uint32_t messages_per_link,
+                        const std::vector<Packet>& packets,
+                        const RoutePin& pin) {
+  for (std::uint32_t threads : {1u, 4u})
+    expect_packets_pin_at(threads, n, messages_per_link, packets, pin);
 }
 
 /// Routes `count` packets on an n-node clique; a packet goes to one of
@@ -470,6 +531,183 @@ TEST(RoutingGolden, UniformBundlesOddN) {
   expect_packets_pin(100, 1, uniform_bundle_packets(100, 40, 12, 24, 54),
                      {12, 5, 72, 408, 12, 5664, 11328, 706,
                       14976854510530559013ULL});
+}
+
+TEST(Routing, NonUniformSetsTakeExactWaveColours) {
+  // A route that is not uniform bundles takes exactly the colours of its
+  // first-fit waves, sum of Delta_w, in ceil(colours / (n * per_link))
+  // batches; for Delta <= n that is ceil(Delta / (n * per_link)).
+  Rng rng{73};
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto n = static_cast<std::uint32_t>(2 + rng.next_below(40));
+    const std::uint32_t per_link = trial % 3 == 0 ? 4 : 1;
+    const std::size_t count = rng.next_below(trial % 2 == 0 ? 6 * n * n : n);
+    std::vector<Packet> packets;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> relayed;
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto src = static_cast<VertexId>(rng.next_below(n));
+      const auto dst = static_cast<VertexId>(
+          rng.next_below(4) == 0 ? 0 : rng.next_below(n));
+      packets.push_back(pin_packet(src, dst, i));
+      if (src != dst) relayed.emplace_back(src, dst);
+    }
+    if (relayed.empty() || !uniform_bundle_coloring(relayed, n).empty())
+      continue;
+    const std::uint32_t colors = expect_exact_waves(relayed, n);
+    CliqueEngine engine{{.n = n, .messages_per_link = per_link}};
+    RouteStats stats;
+    RoundBuffer inbox;
+    route_packets_into(engine, packets, inbox, &stats);
+    const std::uint64_t per_batch = std::uint64_t{n} * per_link;
+    EXPECT_EQ(stats.color_batches, (colors + per_batch - 1) / per_batch)
+        << "trial " << trial;
+    const std::uint64_t delta =
+        std::max(stats.max_send_load, stats.max_recv_load);
+    if (delta <= n) {
+      EXPECT_EQ(colors, delta);
+      EXPECT_EQ(stats.color_batches, (delta + per_batch - 1) / per_batch);
+    }
+    EXPECT_EQ(stats.rounds, 2 * stats.color_batches + kScheduleRounds);
+  }
+}
+
+TEST(Routing, OddNWavesTakeCeilBatches) {
+  // n = 100, Delta = 408: the SQ-MST sketch set of RoutingGolden's
+  // UniformBundlesOddN with its runs interleaved, so it is not uniform
+  // bundles and takes the wave colouring. Senders stay below n, so the
+  // waves hold 100, 100, 100, 100 and 8 of the hottest receiver's packets:
+  // 408 colours in ceil(408 / 100) = 5 batches. Euler halving gave each
+  // wave up to bit_ceil(100) = 128 colours, 6 batches.
+  auto packets = uniform_bundle_packets(100, 40, 12, 24, 54);
+  std::vector<Packet> interleaved;
+  for (std::size_t j = 0; j < 24; ++j)
+    for (std::size_t r = 0; r * 24 < packets.size(); ++r)
+      interleaved.push_back(packets[r * 24 + j]);
+  CliqueEngine engine{{.n = 100}};
+  RouteStats stats;
+  RoundBuffer inbox;
+  route_packets_into(engine, interleaved, inbox, &stats);
+  EXPECT_EQ(stats.max_recv_load, 408u);
+  EXPECT_EQ(stats.color_batches, 5u);
+  EXPECT_EQ(stats.rounds, 2 * 5 + kScheduleRounds);
+}
+
+/// Everything one route leaves behind: inbox bytes, RouteStats, Metrics,
+/// the observer's hop digest and the load profile.
+struct RouteOutcome {
+  std::vector<std::uint64_t> inbox_words;
+  RouteStats stats;
+  Metrics metrics;
+  std::uint64_t relay_digest{kFnvBasis};
+  std::vector<std::uint64_t> load_words;
+};
+
+RouteOutcome route_at(std::uint32_t threads, std::uint32_t n,
+                      const std::vector<Packet>& packets) {
+  CliqueEngine engine{{.n = n, .threads = threads}};
+  RouteOutcome out;
+  engine.set_observer([&](VertexId s, VertexId d) {
+    out.relay_digest =
+        fnv_mix(out.relay_digest, (static_cast<std::uint64_t>(s) << 32) | d);
+  });
+  LoadProfile load;
+  engine.set_load_profile(&load);
+  RoundBuffer inbox;
+  route_packets_into(engine, packets, inbox, &out.stats);
+  for (VertexId v = 0; v < n; ++v)
+    for (const Message& m : inbox.inbox(v)) {
+      out.inbox_words.insert(out.inbox_words.end(),
+                             {v, m.src, m.dst, m.tag, m.count});
+      out.inbox_words.insert(out.inbox_words.end(), m.words.begin(),
+                             m.words.end());
+    }
+  out.metrics = engine.metrics();
+  for (auto part : {load.sent_messages(), load.sent_words(),
+                    load.recv_messages(), load.recv_words()})
+    out.load_words.insert(out.load_words.end(), part.begin(), part.end());
+  for (const LoadRound& r : load.records())
+    out.load_words.insert(out.load_words.end(),
+                          {r.round, r.span, r.messages, r.max_link});
+  out.load_words.push_back(load.max_link());
+  return out;
+}
+
+void expect_same_route(const RouteOutcome& a, const RouteOutcome& b) {
+  EXPECT_EQ(a.inbox_words, b.inbox_words);
+  EXPECT_EQ(a.stats.rounds, b.stats.rounds);
+  EXPECT_EQ(a.stats.color_batches, b.stats.color_batches);
+  EXPECT_EQ(a.stats.max_send_load, b.stats.max_send_load);
+  EXPECT_EQ(a.stats.max_recv_load, b.stats.max_recv_load);
+  EXPECT_EQ(a.metrics.rounds, b.metrics.rounds);
+  EXPECT_EQ(a.metrics.messages, b.metrics.messages);
+  EXPECT_EQ(a.metrics.words, b.metrics.words);
+  EXPECT_EQ(a.metrics.max_messages_in_round, b.metrics.max_messages_in_round);
+  EXPECT_EQ(a.relay_digest, b.relay_digest);
+  EXPECT_EQ(a.load_words, b.load_words);
+}
+
+TEST(Routing, ParallelDeliveryMatchesSerial) {
+  // Packet sets several chunks long, where runs of relayed packets and
+  // blocks of local packets straddle chunk boundaries.
+  const auto near_boundary = [](std::size_t at) {
+    const std::size_t past = at % kRouteChunkPackets;
+    return past + 8 > kRouteChunkPackets || past < 3;
+  };
+  // Uniform bundles: every sender ships k = 5 packets to every receiver,
+  // receivers in a per-sender shuffled order; a block of 11 local packets
+  // lands on every chunk boundary.
+  {
+    const std::uint32_t n = 128;
+    Rng rng{81};
+    std::vector<Packet> packets;
+    for (VertexId s = 0; s < n; ++s) {
+      std::vector<VertexId> to(n);
+      std::iota(to.begin(), to.end(), 0u);
+      for (std::size_t i = n - 1; i > 0; --i)
+        std::swap(to[i], to[rng.next_below(i + 1)]);
+      for (VertexId d : to) {
+        if (d == s) continue;
+        if (near_boundary(packets.size()) && packets.size() > 8)
+          for (int j = 0; j < 11; ++j)
+            packets.push_back(pin_packet(d, d, packets.size()));
+        for (int j = 0; j < 5; ++j)
+          packets.push_back(pin_packet(s, d, packets.size()));
+      }
+    }
+    ASSERT_GT(packets.size(), 2 * kRouteChunkPackets);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> relayed;
+    for (const Packet& p : packets)
+      if (p.src != p.dst) relayed.emplace_back(p.src, p.dst);
+    ASSERT_FALSE(uniform_bundle_coloring(relayed, n).empty());
+    const RouteOutcome serial = route_at(1, n, packets);
+    EXPECT_EQ(serial.stats.color_batches, 5u);
+    expect_same_route(serial, route_at(4, n, packets));
+  }
+  // Every other set: runs of 1 to 4 equal packets, one in eight local.
+  {
+    const std::uint32_t n = 64;
+    Rng rng{82};
+    std::vector<Packet> packets;
+    while (packets.size() < 3 * kRouteChunkPackets + 1234) {
+      const auto s = static_cast<VertexId>(rng.next_below(n));
+      const auto d = rng.next_below(8) == 0
+                         ? s
+                         : static_cast<VertexId>(rng.next_below(n));
+      const std::size_t len = 1 + rng.next_below(4);
+      for (std::size_t j = 0; j < len; ++j)
+        packets.push_back(pin_packet(s, d, packets.size()));
+    }
+    expect_same_route(route_at(1, n, packets), route_at(4, n, packets));
+  }
+  // A bad endpoint in a later chunk throws the same error on every lane
+  // count.
+  std::vector<Packet> bad(2 * kRouteChunkPackets + 5, pin_packet(0, 1, 0));
+  bad.back().dst = 9;
+  for (std::uint32_t threads : {1u, 4u}) {
+    CliqueEngine engine{{.n = 4, .threads = threads}};
+    RoundBuffer inbox;
+    EXPECT_THROW(route_packets_into(engine, bad, inbox), std::logic_error);
+  }
 }
 
 class SortSizes : public ::testing::TestWithParam<std::size_t> {};

@@ -193,12 +193,13 @@ TEST(RoundBufferType, CountingSortContract) {
 #if CCQ_GUARDS_ACTIVE
   EXPECT_THROW(buf.add_count(1), std::logic_error);  // counting is closed
 #endif
-  buf.place(0).tag = 10;
-  buf.place(2).tag = 30;
-  buf.place(0).tag = 11;
-#if CCQ_GUARDS_ACTIVE
-  EXPECT_THROW(buf.place(0), std::logic_error);  // bucket 0 announced 2
-#endif
+  // Writers fill each bucket left to right from offset(b).
+  EXPECT_EQ(buf.offset(0), 0u);
+  EXPECT_EQ(buf.offset(1), 2u);
+  EXPECT_EQ(buf.offset(2), 2u);
+  buf.data()[buf.offset(0)].tag = 10;
+  buf.data()[buf.offset(2)].tag = 30;
+  buf.data()[buf.offset(0) + 1].tag = 11;
   ASSERT_EQ(buf.inbox(0).size(), 2u);
   EXPECT_EQ(buf.inbox(0)[0].tag, 10u);
   EXPECT_EQ(buf.inbox(0)[1].tag, 11u);
@@ -208,8 +209,9 @@ TEST(RoundBufferType, CountingSortContract) {
   buf.reset(2);  // reusable
   buf.add_count(1);
   buf.commit_counts();
-  buf.place(1).tag = 7;
+  buf.data()[buf.offset(1)].tag = 7;
   EXPECT_EQ(buf.total_messages(), 1u);
+  EXPECT_EQ(buf.inbox(1)[0].tag, 7u);
 }
 
 TEST(Engine, ObserverSeesEveryMessage) {

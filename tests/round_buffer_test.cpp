@@ -34,6 +34,20 @@ Message tagged(VertexId src, VertexId dst, std::uint32_t tag) {
   return m;
 }
 
+/// Fills each bucket left to right from cursors derived from offset(),
+/// as the engine's merge and route_packets_into do.
+class Cursors {
+ public:
+  explicit Cursors(RoundBuffer& buf) : buf_(buf) {
+    for (VertexId v = 0; v < buf.n(); ++v) next_.push_back(buf.offset(v));
+  }
+  Message& operator()(VertexId dst) { return buf_.data()[next_[dst]++]; }
+
+ private:
+  RoundBuffer& buf_;
+  std::vector<std::size_t> next_;
+};
+
 TEST(RoundBuffer, EmptyRoundHasEmptyInboxesEverywhere) {
   RoundBuffer buf{8};
   buf.commit_counts();
@@ -54,10 +68,11 @@ TEST(RoundBuffer, SingleSenderPreservesSubmissionOrder) {
   // One sender (vertex 3) sends two messages to each other vertex.
   for (VertexId dst = 0; dst < 3; ++dst) buf.add_count(dst, 2);
   buf.commit_counts();
+  Cursors place{buf};
   std::uint32_t tag = 0;
   for (int copy = 0; copy < 2; ++copy)
     for (VertexId dst = 0; dst < 3; ++dst)
-      buf.place(dst) = tagged(3, dst, tag++);
+      place(dst) = tagged(3, dst, tag++);
   EXPECT_EQ(buf.total_messages(), 6u);
   for (VertexId dst = 0; dst < 3; ++dst) {
     const auto inbox = buf.inbox(dst);
@@ -76,9 +91,10 @@ TEST(RoundBuffer, AllMessagesToOneDestination) {
   const VertexId hot = 5;
   buf.add_count(hot, kN - 1);
   buf.commit_counts();
+  Cursors place{buf};
   for (VertexId src = 0; src < kN; ++src) {
     if (src == hot) continue;
-    buf.place(hot) = tagged(src, hot, src);
+    place(hot) = tagged(src, hot, src);
   }
   EXPECT_EQ(buf.total_messages(), kN - 1);
   for (VertexId v = 0; v < kN; ++v) {
@@ -95,17 +111,15 @@ TEST(RoundBuffer, AllMessagesToOneDestination) {
   }
 }
 
-TEST(RoundBuffer, OverfillAndOutOfRangeAreRejected) {
+TEST(RoundBuffer, OutOfRangeAndLateCountsAreRejected) {
 #if CCQ_GUARDS_ACTIVE
   RoundBuffer buf{3};
   buf.add_count(1, 1);
   EXPECT_THROW(buf.add_count(3), std::logic_error);  // dst out of range
-  EXPECT_THROW(buf.place(1), std::logic_error);      // not committed yet
   buf.commit_counts();
   EXPECT_THROW(buf.add_count(1), std::logic_error);  // counting closed
-  buf.place(1) = tagged(0, 1, 7);
-  EXPECT_THROW(buf.place(1), std::logic_error);  // bucket already full
-  EXPECT_THROW(buf.place(2), std::logic_error);  // bucket announced empty
+  EXPECT_THROW(buf.commit_counts(), std::logic_error);  // already committed
+  EXPECT_THROW(buf.inbox(3), std::logic_error);  // receiver out of range
 #else
   GTEST_SKIP() << "arena guards compiled out (release build)";
 #endif
@@ -120,9 +134,10 @@ TEST(RoundBuffer, ReuseAcrossRoundsWithShrinkingCounts) {
     buf.reset(kN);
     for (VertexId dst = 0; dst < kN; ++dst) buf.add_count(dst, per_dst);
     buf.commit_counts();
+    Cursors place{buf};
     for (std::uint32_t i = 0; i < per_dst; ++i)
       for (VertexId dst = 0; dst < kN; ++dst)
-        buf.place(dst) = tagged(0, dst, per_dst * 100 + i);
+        place(dst) = tagged(0, dst, per_dst * 100 + i);
     EXPECT_EQ(buf.total_messages(),
               static_cast<std::size_t>(per_dst) * kN);
     for (VertexId dst = 0; dst < kN; ++dst) {
@@ -138,14 +153,16 @@ TEST(RoundBuffer, ReuseShrinkingReceiverCount) {
   RoundBuffer buf{64};
   for (VertexId dst = 0; dst < 64; ++dst) buf.add_count(dst);
   buf.commit_counts();
-  for (VertexId dst = 0; dst < 64; ++dst) buf.place(dst) = tagged(0, dst, dst);
+  Cursors wide{buf};
+  for (VertexId dst = 0; dst < 64; ++dst) wide(dst) = tagged(0, dst, dst);
   // Shrink n itself: old offsets beyond the new n must be unreachable.
   buf.reset(4);
   EXPECT_EQ(buf.n(), 4u);
   buf.add_count(2, 2);
   buf.commit_counts();
-  buf.place(2) = tagged(1, 2, 11);
-  buf.place(2) = tagged(3, 2, 12);
+  Cursors narrow{buf};
+  narrow(2) = tagged(1, 2, 11);
+  narrow(2) = tagged(3, 2, 12);
   EXPECT_EQ(buf.total_messages(), 2u);
   EXPECT_TRUE(buf.inbox(0).empty());
   ASSERT_EQ(buf.inbox(2).size(), 2u);
