@@ -474,7 +474,7 @@ TEST(SqMstGolden, SparseN64) {
   expect_sq_mst_pin(n, g.edges(), 72,
                     {10, 60, 63, 13539940555760816714ULL, 521, 337154, 1224505,
                      {4, 1, 23, 64}, {476, 237, 2160, 15120}, {4, 1, 9, 11},
-                     15625796449122230422ULL, 266880,
+                     15608587384871951158ULL, 266880,
                      6587435737696053253ULL});
 }
 
@@ -483,9 +483,9 @@ TEST(SqMstGolden, NonPowerOfTwoN100) {
   const std::uint32_t n = 100;
   const auto g = random_weights(gnp(n, 0.2, gen), 1 << 20, gen);
   expect_sq_mst_pin(n, g.edges(), 74,
-                    {11, 67, 99, 4959324931182206742ULL, 574, 653044, 2503456,
-                     {6, 2, 26, 100}, {526, 262, 2640, 26136}, {4, 1, 12, 13},
-                     5023757123885196091ULL, 516384,
+                    {11, 67, 99, 4959324931182206742ULL, 568, 653044, 2503456,
+                     {4, 1, 26, 100}, {526, 262, 2640, 26136}, {4, 1, 12, 13},
+                     13242404861800965131ULL, 516384,
                      10179341490119322981ULL});
 }
 
@@ -507,7 +507,7 @@ TEST(SqMstGolden, CliqueAfterOneLotkerPhase) {
   expect_sq_mst_pin(n, edges, 76,
                     {8, 52, 178, 1704700958624241216ULL, 327, 2488016, 6545059,
                      {4, 1, 53, 508}, {292, 145, 2912, 74048}, {4, 1, 1, 1},
-                     12762903688532156614ULL, 1035840,
+                     9941100932853620358ULL, 1035840,
                      10655736824020609529ULL});
 }
 

@@ -604,13 +604,13 @@ TEST(GcGolden, SpanningForestDisconnectedSparse) {
       "words=361320 peak=64883 observed=4932310265418257661",
       "connected=0 monte_carlo_ok=1 phases=1 unfinished=83 "
       "forest=297/9023405536212534277 rounds=234 messages=605275 "
-      "words=996055 peak=89700 observed=5202951472518447905",
+      "words=996055 peak=89700 observed=11043843047704900145",
       "connected=0 monte_carlo_ok=1 phases=4 unfinished=0 "
       "forest=1021/4622782435065356512 rounds=20 messages=1424955 "
       "words=4277484 peak=735537 observed=7860167052803363870",
       "connected=0 monte_carlo_ok=1 phases=1 unfinished=305 "
       "forest=1021/13711465555314870222 rounds=317 messages=3582679 "
-      "words=6700544 peak=1047552 observed=6529688350815282703",
+      "words=6700544 peak=1047552 observed=6919833158410467127",
   };
   const char* const* pin = pins;
   for (const GcInput& in : disconnected_sparse_inputs())
