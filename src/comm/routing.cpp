@@ -132,67 +132,6 @@ std::vector<std::uint32_t> konig_edge_coloring(Edges edges, std::uint32_t n,
   return color;
 }
 
-/// Exact per-wave colouring (see wave_edge_coloring in the header).
-/// First-fit places a packet of s at wave <= (#waves full for s) +
-/// (#waves full for d), and a full wave holds n of a vertex's packets, so
-/// every wave index is below `width`; send_use/recv_use are flat n x width
-/// tables (n * width <= n + 2 * #packets) of per-wave degrees. Per-vertex
-/// full waves only grow, so scanning starts at the larger of the two
-/// endpoints' first-free hints.
-std::vector<std::uint32_t> wave_coloring(Edges edges, std::uint32_t n,
-                                         std::uint64_t max_send_load,
-                                         std::uint64_t max_recv_load) {
-  const std::uint64_t width = max_send_load / n + max_recv_load / n + 1;
-  std::vector<std::uint32_t> wave_of(edges.size(), 0);
-  std::vector<std::uint32_t> wave_delta(1, 0);
-  {
-    std::vector<std::uint32_t> send_use(n * width, 0);
-    std::vector<std::uint32_t> recv_use(n * width, 0);
-    std::vector<std::uint32_t> send_hint(n, 0);
-    std::vector<std::uint32_t> recv_hint(n, 0);
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      std::uint32_t* send = &send_use[edges[e].first * width];
-      std::uint32_t* recv = &recv_use[edges[e].second * width];
-      std::uint32_t& s_hint = send_hint[edges[e].first];
-      std::uint32_t& r_hint = recv_hint[edges[e].second];
-      std::uint32_t w = std::max(s_hint, r_hint);
-      while (send[w] >= n || recv[w] >= n) ++w;
-      if (w >= wave_delta.size()) wave_delta.resize(w + 1, 0);
-      wave_delta[w] = std::max({wave_delta[w], ++send[w], ++recv[w]});
-      while (s_hint < width && send[s_hint] >= n) ++s_hint;
-      while (r_hint < width && recv[r_hint] >= n) ++r_hint;
-      wave_of[e] = w;
-    }
-  }
-  const auto num_waves = static_cast<std::uint32_t>(wave_delta.size());
-  // Bucket the edges by wave in one pass, edge order kept within a wave,
-  // and give wave w the colour block of its wave_delta[w] colours.
-  std::vector<std::size_t> wave_start(num_waves + 1, 0);
-  for (std::uint32_t w : wave_of) ++wave_start[w + 1];
-  for (std::uint32_t w = 0; w < num_waves; ++w)
-    wave_start[w + 1] += wave_start[w];
-  std::vector<std::size_t> by_wave(edges.size());
-  {
-    std::vector<std::size_t> next(wave_start.begin(), wave_start.end() - 1);
-    for (std::size_t e = 0; e < edges.size(); ++e)
-      by_wave[next[wave_of[e]]++] = e;
-  }
-  std::vector<std::uint32_t> color(edges.size(), 0);
-  std::uint32_t color_base = 0;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> wave_edges;
-  for (std::uint32_t w = 0; w < num_waves; ++w) {
-    wave_edges.clear();
-    for (std::size_t i = wave_start[w]; i < wave_start[w + 1]; ++i)
-      wave_edges.push_back(edges[by_wave[i]]);
-    const auto wave_color = konig_edge_coloring(wave_edges, n, wave_delta[w]);
-    for (std::size_t i = 0; i < wave_edges.size(); ++i)
-      color[by_wave[wave_start[w] + i]] = color_base + wave_color[i];
-    color_base += wave_delta[w];
-  }
-  return color;
-}
-
-
 /// A maximal stretch of consecutive relayed packets with one (src, dst).
 struct Run {
   std::uint32_t src;
@@ -268,22 +207,78 @@ struct RouteChunk {
 
 }  // namespace
 
+// First-fit places an edge (s, d) at wave <= (#waves full for s) +
+// (#waves full for d), and a full wave holds n of a vertex's edges, so
+// every wave index is below `width`; send_use/recv_use are flat n x width
+// tables (n * width <= n + 2 * #edges) of per-wave degrees. Per-vertex
+// full waves only grow, so scanning starts at the larger of the two
+// endpoints' first-free hints.
 std::vector<std::uint32_t> wave_edge_coloring(
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
     std::uint32_t n) {
   check(edges.size() < (std::size_t{1} << 31),
         "wave_edge_coloring: multigraph too large");
-  std::vector<std::uint64_t> send(n, 0);
-  std::vector<std::uint64_t> recv(n, 0);
-  std::uint64_t max_send = 0;
-  std::uint64_t max_recv = 0;
-  for (const auto& [u, v] : edges) {
-    check(u < n && v < n, "wave_edge_coloring: endpoint out of range");
-    max_send = std::max(max_send, ++send[u]);
-    max_recv = std::max(max_recv, ++recv[v]);
+  std::uint64_t max_send_load = 0;
+  std::uint64_t max_recv_load = 0;
+  {
+    std::vector<std::uint64_t> send(n, 0);
+    std::vector<std::uint64_t> recv(n, 0);
+    for (const auto& [u, v] : edges) {
+      check(u < n && v < n, "wave_edge_coloring: endpoint out of range");
+      max_send_load = std::max(max_send_load, ++send[u]);
+      max_recv_load = std::max(max_recv_load, ++recv[v]);
+    }
   }
-  return wave_coloring(edges, n, max_send, max_recv);
+  const std::uint64_t width = max_send_load / n + max_recv_load / n + 1;
+  std::vector<std::uint32_t> wave_of(edges.size(), 0);
+  std::vector<std::uint32_t> wave_delta(1, 0);
+  {
+    std::vector<std::uint32_t> send_use(n * width, 0);
+    std::vector<std::uint32_t> recv_use(n * width, 0);
+    std::vector<std::uint32_t> send_hint(n, 0);
+    std::vector<std::uint32_t> recv_hint(n, 0);
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      std::uint32_t* send = &send_use[edges[e].first * width];
+      std::uint32_t* recv = &recv_use[edges[e].second * width];
+      std::uint32_t& s_hint = send_hint[edges[e].first];
+      std::uint32_t& r_hint = recv_hint[edges[e].second];
+      std::uint32_t w = std::max(s_hint, r_hint);
+      while (send[w] >= n || recv[w] >= n) ++w;
+      if (w >= wave_delta.size()) wave_delta.resize(w + 1, 0);
+      wave_delta[w] = std::max({wave_delta[w], ++send[w], ++recv[w]});
+      while (s_hint < width && send[s_hint] >= n) ++s_hint;
+      while (r_hint < width && recv[r_hint] >= n) ++r_hint;
+      wave_of[e] = w;
+    }
+  }
+  const auto num_waves = static_cast<std::uint32_t>(wave_delta.size());
+  // Bucket the edges by wave in one pass, edge order kept within a wave,
+  // and give wave w the colour block of its wave_delta[w] colours.
+  std::vector<std::size_t> wave_start(num_waves + 1, 0);
+  for (std::uint32_t w : wave_of) ++wave_start[w + 1];
+  for (std::uint32_t w = 0; w < num_waves; ++w)
+    wave_start[w + 1] += wave_start[w];
+  std::vector<std::size_t> by_wave(edges.size());
+  {
+    std::vector<std::size_t> next(wave_start.begin(), wave_start.end() - 1);
+    for (std::size_t e = 0; e < edges.size(); ++e)
+      by_wave[next[wave_of[e]]++] = e;
+  }
+  std::vector<std::uint32_t> color(edges.size(), 0);
+  std::uint32_t color_base = 0;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> wave_edges;
+  for (std::uint32_t w = 0; w < num_waves; ++w) {
+    wave_edges.clear();
+    for (std::size_t i = wave_start[w]; i < wave_start[w + 1]; ++i)
+      wave_edges.push_back(edges[by_wave[i]]);
+    const auto wave_color = konig_edge_coloring(wave_edges, n, wave_delta[w]);
+    for (std::size_t i = 0; i < wave_edges.size(); ++i)
+      color[by_wave[wave_start[w] + i]] = color_base + wave_color[i];
+    color_base += wave_delta[w];
+  }
+  return color;
 }
+
 
 std::vector<std::uint32_t> uniform_bundle_coloring(
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
@@ -395,7 +390,7 @@ void route_packets_into(CliqueEngine& engine,
     edges.reserve(relayed);
     for (const Packet& p : packets)
       if (p.src != p.dst) edges.emplace_back(p.src, p.dst);
-    color = wave_coloring(edges, n, local.max_send_load, local.max_recv_load);
+    color = wave_edge_coloring(edges, n);
   }
   std::uint64_t num_colors = 0;
   if (bundles)

@@ -596,6 +596,7 @@ TEST(Routing, OddNWavesTakeCeilBatches) {
 /// the observer's hop digest and the load profile.
 struct RouteOutcome {
   std::vector<std::uint64_t> inbox_words;
+  std::vector<std::uint64_t> round_messages;  // per charged round
   RouteStats stats;
   Metrics metrics;
   std::uint64_t relay_digest{kFnvBasis};
@@ -625,9 +626,11 @@ RouteOutcome route_at(std::uint32_t threads, std::uint32_t n,
   for (auto part : {load.sent_messages(), load.sent_words(),
                     load.recv_messages(), load.recv_words()})
     out.load_words.insert(out.load_words.end(), part.begin(), part.end());
-  for (const LoadRound& r : load.records())
+  for (const LoadRound& r : load.records()) {
     out.load_words.insert(out.load_words.end(),
                           {r.round, r.span, r.messages, r.max_link});
+    out.round_messages.push_back(r.messages);
+  }
   out.load_words.push_back(load.max_link());
   return out;
 }
@@ -646,16 +649,58 @@ void expect_same_route(const RouteOutcome& a, const RouteOutcome& b) {
   EXPECT_EQ(a.load_words, b.load_words);
 }
 
+/// Checks `got` against a route computed by hand from the unchunked
+/// colouring `color` of its relayed packets: each inbox holds its local
+/// packets, then its relayed ones, both in packet order; relayed packet
+/// i's relay is color[i] mod n and its batch color[i] / n, and each batch
+/// charges its packets in each of its two rounds.
+void expect_reference_route(std::uint32_t n,
+                            const std::vector<Packet>& packets,
+                            const std::vector<std::uint32_t>& color,
+                            const RouteOutcome& got) {
+  std::vector<std::vector<std::size_t>> local(n);
+  std::vector<std::vector<std::size_t>> relayed(n);
+  std::vector<std::uint64_t> batch(
+      1 + *std::max_element(color.begin(), color.end()) / n, 0);
+  for (std::uint32_t c : color) ++batch[c / n];
+  std::vector<std::uint64_t> rounds;
+  for (std::uint64_t b : batch) rounds.insert(rounds.end(), {b, b});
+  rounds.resize(rounds.size() + kScheduleRounds, 0);
+  EXPECT_EQ(got.round_messages, rounds);
+  std::uint64_t h = kFnvBasis;
+  std::size_t e = 0;
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    const Packet& p = packets[i];
+    if (p.src == p.dst) {
+      local[p.dst].push_back(i);
+      continue;
+    }
+    relayed[p.dst].push_back(i);
+    const std::uint64_t relay = color[e++] % n;
+    h = fnv_mix(h, (std::uint64_t{p.src} << 32) | relay);
+    h = fnv_mix(h, (relay << 32) | p.dst);
+  }
+  std::vector<std::uint64_t> words;
+  for (VertexId v = 0; v < n; ++v)
+    for (const auto* part : {&local[v], &relayed[v]})
+      for (std::size_t i : *part) {
+        const Packet& p = packets[i];
+        words.insert(words.end(), {v, p.src, p.dst, p.msg.tag, p.msg.count});
+        words.insert(words.end(), p.msg.words.begin(), p.msg.words.end());
+      }
+  EXPECT_EQ(got.inbox_words, words);
+  EXPECT_EQ(got.relay_digest, h);
+}
+
 TEST(Routing, ParallelDeliveryMatchesSerial) {
   // Packet sets several chunks long, where runs of relayed packets and
   // blocks of local packets straddle chunk boundaries.
   const auto near_boundary = [](std::size_t at) {
-    const std::size_t past = at % kRouteChunkPackets;
-    return past + 8 > kRouteChunkPackets || past < 3;
+    return at % kRouteChunkPackets + 8 > kRouteChunkPackets;
   };
   // Uniform bundles: every sender ships k = 5 packets to every receiver,
-  // receivers in a per-sender shuffled order; a block of 11 local packets
-  // lands on every chunk boundary.
+  // receivers in a per-sender shuffled order. A block of 12 local packets
+  // straddles the first chunk boundary and a relayed run the second.
   {
     const std::uint32_t n = 128;
     Rng rng{81};
@@ -667,20 +712,34 @@ TEST(Routing, ParallelDeliveryMatchesSerial) {
         std::swap(to[i], to[rng.next_below(i + 1)]);
       for (VertexId d : to) {
         if (d == s) continue;
-        if (near_boundary(packets.size()) && packets.size() > 8)
-          for (int j = 0; j < 11; ++j)
+        if (near_boundary(packets.size()) &&
+            packets.size() < 2 * kRouteChunkPackets - 8)
+          for (int j = 0; j < 12; ++j)
             packets.push_back(pin_packet(d, d, packets.size()));
         for (int j = 0; j < 5; ++j)
           packets.push_back(pin_packet(s, d, packets.size()));
       }
     }
     ASSERT_GT(packets.size(), 2 * kRouteChunkPackets);
+    const auto straddles = [&](std::size_t at) {
+      const Packet& a = packets[at - 1];
+      const Packet& b = packets[at];
+      return a.src == b.src && a.dst == b.dst;
+    };
+    ASSERT_TRUE(straddles(kRouteChunkPackets));
+    ASSERT_EQ(packets[kRouteChunkPackets].src,
+              packets[kRouteChunkPackets].dst);
+    ASSERT_TRUE(straddles(2 * kRouteChunkPackets));
+    ASSERT_NE(packets[2 * kRouteChunkPackets].src,
+              packets[2 * kRouteChunkPackets].dst);
     std::vector<std::pair<std::uint32_t, std::uint32_t>> relayed;
     for (const Packet& p : packets)
       if (p.src != p.dst) relayed.emplace_back(p.src, p.dst);
-    ASSERT_FALSE(uniform_bundle_coloring(relayed, n).empty());
+    const auto color = uniform_bundle_coloring(relayed, n);
+    ASSERT_FALSE(color.empty());
     const RouteOutcome serial = route_at(1, n, packets);
     EXPECT_EQ(serial.stats.color_batches, 5u);
+    expect_reference_route(n, packets, color, serial);
     expect_same_route(serial, route_at(4, n, packets));
   }
   // Every other set: runs of 1 to 4 equal packets, one in eight local.
@@ -697,7 +756,13 @@ TEST(Routing, ParallelDeliveryMatchesSerial) {
       for (std::size_t j = 0; j < len; ++j)
         packets.push_back(pin_packet(s, d, packets.size()));
     }
-    expect_same_route(route_at(1, n, packets), route_at(4, n, packets));
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> relayed;
+    for (const Packet& p : packets)
+      if (p.src != p.dst) relayed.emplace_back(p.src, p.dst);
+    ASSERT_TRUE(uniform_bundle_coloring(relayed, n).empty());
+    const RouteOutcome serial = route_at(1, n, packets);
+    expect_reference_route(n, packets, wave_edge_coloring(relayed, n), serial);
+    expect_same_route(serial, route_at(4, n, packets));
   }
   // A bad endpoint in a later chunk throws the same error on every lane
   // count.
