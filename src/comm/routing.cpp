@@ -28,9 +28,9 @@ using Edges = std::span<const std::pair<std::uint32_t, std::uint32_t>>;
 /// A *hot* vertex, of degree above max(16, delta / 8), keeps a colour ->
 /// edge table and a bitset of its used colours, so each lookup there is
 /// O(1). Any other vertex scans its incidence list, at most that many
-/// entries, into a scratch bitset. Hot vertices number at most
-/// 2m / (delta / 8), so their tables hold at most 16m entries: scratch is
-/// O(n + m) words for every delta.
+/// entries, into a scratch bitset. Fewer than 2m / max(16, floor(delta /
+/// 8)) vertices are hot, so their tables hold fewer than 17m entries:
+/// scratch is O(n + m) words for every delta.
 std::vector<std::uint32_t> konig_edge_coloring(Edges edges, std::uint32_t n,
                                                std::uint32_t delta) {
   const std::size_t ids = 2 * std::size_t{n};
